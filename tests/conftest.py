@@ -1,4 +1,12 @@
-"""Shared pytest plumbing: criterion verdict lines in the terminal summary."""
+"""Shared pytest plumbing: criterion verdict lines in the terminal summary,
+and the hypothesis profile of the property tests."""
+
+from hypothesis import settings
+
+# A fixed, bounded example set keeps the property tests reproducible and fast;
+# ``--hypothesis-profile default`` restores hypothesis' randomized search.
+settings.register_profile("tier1", derandomize=True, max_examples=60, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config):
