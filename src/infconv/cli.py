@@ -33,7 +33,6 @@ from .measures import (
     Combination,
     Distortion,
     RiskMeasure,
-    Spectral,
     empirical,
     parse_risk_spec,
     render_risk_spec,
@@ -121,7 +120,7 @@ class ExperimentSpec:
 
 
 def _uses_distortion(spec: RiskMeasure) -> bool:
-    if isinstance(spec, (Distortion, Spectral)):
+    if isinstance(spec, Distortion):
         return True
     if isinstance(spec, Combination):
         return any(_uses_distortion(term) for _, term in spec.terms)

@@ -3,10 +3,18 @@
 A sample vector is interpreted as an equally weighted empirical distribution of
 a profit-and-loss position (negative values are losses).  Every measure here is
 cash additive, monotone and convex; values depend on the sorted sample only.
+
+All evaluation runs through one kernel.  ``leaves`` flattens a spec into
+weighted entropic, shortfall and spectral leaves; a compile step, cached per
+spec and sample size, sums the order-statistic weights of the linear leaves;
+``sorted_risk`` then values (and differentiates) an ascending sample, or each
+column of a matrix of them, as that weighting plus one log-mean-exp per
+entropic leaf.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -29,6 +37,8 @@ __all__ = [
     "eval_spectral",
     "evaluate",
     "eval_with_grad",
+    "leaves",
+    "sorted_risk",
     "sorted_tail_weights",
     "spectral_order_weights",
     "parse_risk_spec",
@@ -325,43 +335,82 @@ def eval_spectral(m: EmpiricalMeasure, density: Spectral) -> float:
     return float(-(spectral_order_weights(density, m.size) @ m.samples))
 
 
+# ---------------------------------------------------------------------------
+# The risk kernel
+# ---------------------------------------------------------------------------
+
+Leaf = Entropic | ExpectedShortfall | Spectral
+
+# Distinct (spec, sample size) pairs whose compiled weights are kept.
+_COMPILE_CACHE = 64
+
+
+def leaves(spec: RiskMeasure) -> tuple[tuple[float, Leaf], ...]:
+    """Flatten a spec into weighted Entropic, ExpectedShortfall and Spectral
+    leaves: combinations multiply their weights through, distortions split
+    into their shortfall components.  The spec's value is the weighted sum of
+    its leaves' values."""
+    if isinstance(spec, (Entropic, ExpectedShortfall, Spectral)):
+        return ((1.0, spec),)
+    if isinstance(spec, Distortion):
+        return tuple((w, ExpectedShortfall(a)) for w, a in spec.components)
+    if isinstance(spec, Combination):
+        return tuple((w * lw, leaf) for w, term in spec.terms for lw, leaf in leaves(term))
+    raise ValueError(f"not a risk measure spec: {spec!r}")
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE)
+def _compile(spec: RiskMeasure, n: int) -> tuple[np.ndarray | None, tuple[tuple[float, float], ...]]:
+    """Summed order weights of the linear leaves (read-only, None when there
+    are none) and the (weight, beta) pairs of the entropic leaves."""
+    linear = None
+    entropic = []
+    for w, leaf in leaves(spec):
+        if isinstance(leaf, Entropic):
+            entropic.append((w, leaf.beta))
+            continue
+        if linear is None:
+            linear = np.zeros(n)
+        if isinstance(leaf, ExpectedShortfall):
+            linear += w * sorted_tail_weights(leaf.alpha, n)
+        else:
+            linear += w * spectral_order_weights(leaf, n)
+    if linear is not None:
+        linear.setflags(write=False)
+    return linear, tuple(entropic)
+
+
+def sorted_risk(spec: RiskMeasure, xs: np.ndarray, grad: bool = False):
+    """Risk of an ascending sample vector, or of each ascending column of an
+    (n, k) matrix.
+
+    The value is the order-statistic weighting of the linear leaves plus a
+    max-shifted log-mean-exp per entropic leaf.  With ``grad=True`` the
+    gradient with respect to the sorted values (same shape as ``xs``) is
+    returned too.  ``xs`` is trusted to be finite and sorted along axis 0.
+    """
+    n = xs.shape[0]
+    linear, entropic = _compile(spec, n)
+    value = 0.0 if linear is None else -(linear @ xs)
+    if grad:
+        g = np.zeros(xs.shape)
+        if linear is not None:
+            g -= linear.reshape((n,) + (1,) * (xs.ndim - 1))
+    for w, beta in entropic:
+        e = xs / -beta
+        shift = e[0].copy()  # ascending, so row 0 carries the largest exponent
+        e -= shift
+        np.exp(e, out=e)
+        total = e.sum(axis=0)
+        value = value + w * (beta * (shift + np.log(total) - np.log(n)))
+        if grad:
+            g -= w * (e / total)
+    return (value, g) if grad else value
+
+
 def evaluate(spec: RiskMeasure, m: EmpiricalMeasure) -> float:
     """Evaluate any risk measure spec on an empirical measure."""
-    if isinstance(spec, Entropic):
-        return eval_entropic(m, spec.beta)
-    if isinstance(spec, ExpectedShortfall):
-        return eval_es(m, spec.alpha)
-    if isinstance(spec, Distortion):
-        return eval_distortion(m, spec.components)
-    if isinstance(spec, Spectral):
-        return eval_spectral(m, spec)
-    if isinstance(spec, Combination):
-        return float(sum(w * evaluate(s, m) for w, s in spec.terms))
-    raise ValueError(f"not a risk measure spec: {spec!r}")
-
-
-def _sorted_grad(spec: RiskMeasure, m: EmpiricalMeasure) -> np.ndarray:
-    """Gradient with respect to the sorted sample values."""
-    if isinstance(spec, Entropic):
-        t = -m.samples / spec.beta
-        t = t - t[0]
-        e = np.exp(t)
-        return -e / e.sum()
-    if isinstance(spec, ExpectedShortfall):
-        return -sorted_tail_weights(spec.alpha, m.size)
-    if isinstance(spec, Distortion):
-        g = np.zeros(m.size)
-        for w, a in spec.components:
-            g -= w * sorted_tail_weights(a, m.size)
-        return g
-    if isinstance(spec, Spectral):
-        return -spectral_order_weights(spec, m.size)
-    if isinstance(spec, Combination):
-        g = np.zeros(m.size)
-        for w, s in spec.terms:
-            g += w * _sorted_grad(s, m)
-        return g
-    raise ValueError(f"not a risk measure spec: {spec!r}")
+    return float(sorted_risk(spec, m.samples))
 
 
 def eval_with_grad(spec: RiskMeasure, m: EmpiricalMeasure) -> tuple[float, np.ndarray]:
@@ -370,11 +419,10 @@ def eval_with_grad(spec: RiskMeasure, m: EmpiricalMeasure) -> tuple[float, np.nd
     The gradient entries sum to -1 (cash additivity).  Ties between equal
     samples are resolved by the stable sort recorded in the measure.
     """
-    value = evaluate(spec, m)
-    grad_sorted = _sorted_grad(spec, m)
+    value, grad_sorted = sorted_risk(spec, m.samples, grad=True)
     grad = np.empty(m.size)
     grad[m.original_order] = grad_sorted
-    return value, grad
+    return float(value), grad
 
 
 # ---------------------------------------------------------------------------
@@ -512,4 +560,4 @@ def render_risk_spec(spec: RiskMeasure) -> str:
     if isinstance(spec, Combination):
         body = "+".join(f"{w!r}*{render_risk_spec(s)}" for w, s in spec.terms)
         return f"mix({body})"
-    raise ValueError(f"no textual form for {spec!r}")
+    raise ValueError(f"no textual form for {type(spec).__name__} specs")

@@ -8,8 +8,8 @@ coordinate descent can then polish the slopes off the level grid.
 
 Monotonicity does the heavy lifting: every candidate and its complement are
 non-decreasing maps of a sorted sample, so transformed samples stay sorted and
-each risk evaluation collapses to a weighted sum (or a stable log-mean-exp)
-over columns of one matrix product.
+a whole chunk of candidates is one call of the risk kernel
+(``measures.sorted_risk``) on the columns of one matrix product.
 """
 
 from __future__ import annotations
@@ -18,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    Combination,
-    Distortion,
-    EmpiricalMeasure,
-    Entropic,
-    ExpectedShortfall,
-    RiskMeasure,
-    Spectral,
-    sorted_tail_weights,
-    spectral_order_weights,
-)
+from .measures import EmpiricalMeasure, RiskMeasure, sorted_risk
 
 __all__ = [
     "BudgetError",
@@ -157,52 +147,12 @@ def overlap_matrix(sorted_samples: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return np.sign(xs)[:, None] * ov
 
 
-def _linear_weights(spec: RiskMeasure, n: int) -> np.ndarray | None:
-    """Order-statistic weights with value == -(w @ sorted), None if entropic."""
-    if isinstance(spec, ExpectedShortfall):
-        return sorted_tail_weights(spec.alpha, n)
-    if isinstance(spec, Distortion):
-        w = np.zeros(n)
-        for weight, alpha in spec.components:
-            w += weight * sorted_tail_weights(alpha, n)
-        return w
-    if isinstance(spec, Spectral):
-        return spectral_order_weights(spec, n)
-    if isinstance(spec, Combination):
-        w = np.zeros(n)
-        for weight, term in spec.terms:
-            tw = _linear_weights(term, n)
-            if tw is None:
-                return None
-            w += weight * tw
-        return w
-    return None
-
-
-def _eval_sorted_batch(spec: RiskMeasure, values: np.ndarray) -> np.ndarray:
-    """Risk of each column of an ascending-sorted (n, batch) value matrix."""
-    n = values.shape[0]
-    w = _linear_weights(spec, n)
-    if w is not None:
-        return -(w @ values)
-    if isinstance(spec, Entropic):
-        t = -values / spec.beta
-        shift = t[0]  # columns sorted ascending, so row 0 carries the max
-        return spec.beta * (shift + np.log(np.exp(t - shift[None, :]).sum(axis=0)) - np.log(n))
-    if isinstance(spec, Combination):
-        out = np.zeros(values.shape[1])
-        for weight, term in spec.terms:
-            out += weight * _eval_sorted_batch(term, values)
-        return out
-    raise ValueError(f"not a risk measure spec: {spec!r}")
-
-
 def _objective_batch(
     spec1: RiskMeasure, spec2: RiskMeasure, m: EmpiricalMeasure, c: np.ndarray, thetas: np.ndarray
 ) -> np.ndarray:
     v1 = c @ thetas.T
     v2 = m.samples[:, None] - v1
-    return _eval_sorted_batch(spec1, v1) + _eval_sorted_batch(spec2, v2)
+    return sorted_risk(spec1, v1) + sorted_risk(spec2, v2)
 
 
 def oracle_objective(

@@ -15,15 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import (
-    Combination,
-    Distortion,
     EmpiricalMeasure,
     ExpectedShortfall,
     RiskMeasure,
     Spectral,
     empirical,
-    eval_with_grad,
     evaluate,
+    leaves,
+    sorted_risk,
 )
 from .net import ACTIVATIONS, Mlp, backward, forward, grad_list, init_mlp, param_list, set_params
 from .optim import OptimizerError, init_adam, init_plateau, adam_step, plateau_step
@@ -138,18 +137,30 @@ def batch_loss_and_cotangents(
     complement, complement of the second with the second) and returns the
     loss gradient with respect to each proposal's batch values.
     """
-    m1 = empirical(first_values)
-    m2 = empirical(second_values)
-    m1c = empirical(xs - first_values)
-    m2c = empirical(xs - second_values)
-    r1, g1 = eval_with_grad(spec1, m1)
-    r2, g2 = eval_with_grad(spec2, m2)
-    r3, g3 = eval_with_grad(spec1, m2c)
-    r4, g4 = eval_with_grad(spec2, m1c)
+    xs, first_values, second_values = (
+        np.asarray(v, dtype=np.float64) for v in (xs, first_values, second_values)
+    )
+    if xs.ndim != 1 or xs.size == 0 or not xs.shape == first_values.shape == second_values.shape:
+        raise ValueError("batch and share values must be non-empty 1-d vectors of one length")
+    if not all(np.all(np.isfinite(v)) for v in (xs, first_values, second_values)):
+        raise ValueError("batch and share values must be finite")
+    r1, g1 = _risk_with_grad(spec1, first_values)
+    r2, g2 = _risk_with_grad(spec2, second_values)
+    r3, g3 = _risk_with_grad(spec1, xs - second_values)
+    r4, g4 = _risk_with_grad(spec2, xs - first_values)
     loss = 0.5 * (r1 + r2 + r3 + r4)
     cot1 = 0.5 * (g1 - g4)
     cot2 = 0.5 * (g2 - g3)
     return loss, cot1, cot2
+
+
+def _risk_with_grad(spec: RiskMeasure, values: np.ndarray) -> tuple[float, np.ndarray]:
+    """Risk of an unsorted vector and its gradient in input order."""
+    order = np.argsort(values, kind="stable")
+    value, grad_sorted = sorted_risk(spec, values[order], grad=True)
+    grad = np.empty(values.size)
+    grad[order] = grad_sorted
+    return float(value), grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,23 +418,6 @@ def l2_error(approx, exact, xs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _es_components(spec: RiskMeasure) -> list[tuple[float, float]] | None:
-    """Flatten to weighted shortfall components, None if not of that class."""
-    if isinstance(spec, ExpectedShortfall):
-        return [(1.0, spec.alpha)]
-    if isinstance(spec, Distortion):
-        return list(spec.components)
-    if isinstance(spec, Combination):
-        out: list[tuple[float, float]] = []
-        for weight, term in spec.terms:
-            inner = _es_components(term)
-            if inner is None:
-                return None
-            out.extend((weight * w, a) for w, a in inner)
-        return out
-    return None
-
-
 def distortion_density_norm(spec: RiskMeasure, q: float) -> float:
     """L^q norm over [0, 1] of the measure's rank-weighting density.
 
@@ -435,9 +429,10 @@ def distortion_density_norm(spec: RiskMeasure, q: float) -> float:
         raise ValueError("q must be at least 1")
     if isinstance(spec, Spectral):
         return _piecewise_linear_q_norm(spec.grid, spec.values, q)
-    comps = _es_components(spec)
-    if comps is None:
+    terms = leaves(spec)
+    if not all(isinstance(leaf, ExpectedShortfall) for _, leaf in terms):
         raise ValueError(f"no rank-weighting density for {spec!r}")
+    comps = [(w, leaf.alpha) for w, leaf in terms]
     edges = np.unique(np.concatenate([[0.0, 1.0], [a for _, a in comps]]))
     mids = 0.5 * (edges[1:] + edges[:-1])
     heights = np.array([sum(w / a for w, a in comps if a >= mid) for mid in mids])

@@ -26,6 +26,7 @@ from infconv import (
     parse_risk_spec,
     render_risk_spec,
 )
+from infconv.measures import leaves, sorted_risk
 from infconv.oracle import GridAllocation, build_knots, oracle_objective
 
 MAX_DEPTH = 4
@@ -152,3 +153,27 @@ def test_cash_additivity(spec, xs, c):
 @given(specs(spectral=False))
 def test_parse_render_round_trip(spec):
     assert parse_risk_spec(render_risk_spec(spec)) == spec
+
+
+@given(specs())
+def test_leaves_flatten_like_the_reference(spec):
+    got = leaves(spec)
+    want = list(reference_leaves(spec))
+    assert len(got) == len(want)
+    for (w, leaf), (w_ref, leaf_ref) in zip(got, want):
+        assert abs(w - w_ref) < 1e-15
+        assert leaf == leaf_ref  # spectral leaves compare by identity
+    assert abs(sum(w for w, _ in got) - 1.0) < 1e-12
+
+
+@given(specs(), st.lists(samples.map(np.sort), min_size=1, max_size=4), st.integers(1, 40))
+def test_sorted_risk_on_a_matrix_matches_each_column(spec, columns, n):
+    matrix = np.stack([np.resize(col, n) for col in columns], axis=1)
+    matrix.sort(axis=0)
+    values, grads = sorted_risk(spec, matrix, grad=True)
+    assert values.shape == (matrix.shape[1],) and grads.shape == matrix.shape
+    for k in range(matrix.shape[1]):
+        value, grad = sorted_risk(spec, matrix[:, k].copy(), grad=True)
+        assert _close(values[k], value, 1e-12)
+        assert np.allclose(grads[:, k], grad, rtol=0.0, atol=1e-15)
+        assert sorted_risk(spec, matrix[:, k].copy()) == value
