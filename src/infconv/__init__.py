@@ -45,17 +45,13 @@ from .sampling import (
 )
 from .net import (
     ACTIVATIONS,
-    GradientBuffer,
     Mlp,
-    backward,
     forward,
-    grad_list,
     init_mlp,
     mlp_from_json,
     mlp_to_json,
     param_count,
-    param_list,
-    set_params,
+    value_and_grad,
 )
 from .optim import (
     AdamState,
@@ -131,9 +127,8 @@ __all__ = [
     "make_generator", "parse_distribution", "pdf", "quantile", "render_distribution",
     "stratified_sample", "support", "wasserstein_p",
     # net
-    "ACTIVATIONS", "GradientBuffer", "Mlp", "backward", "forward", "grad_list",
-    "init_mlp", "mlp_from_json", "mlp_to_json", "param_count", "param_list",
-    "set_params",
+    "ACTIVATIONS", "Mlp", "forward", "init_mlp", "mlp_from_json", "mlp_to_json",
+    "param_count", "value_and_grad",
     # optim
     "AdamState", "OptimizerError", "PlateauState", "adam_step", "init_adam",
     "init_plateau", "plateau_step",

@@ -1,14 +1,16 @@
 """Small dense feed-forward networks with hand-written backpropagation.
 
 Scalar-in scalar-out networks evaluated on batches.  All arithmetic is
-float64; forward and backward are pure functions of the stored parameters, so
-two identical calls give bit-identical results.
+float64 and every parameter lives in one flat vector; forward and
+value_and_grad are pure functions of it, so two identical calls give
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,14 +19,10 @@ from .sampling import RngSeed, make_generator
 __all__ = [
     "ACTIVATIONS",
     "Mlp",
-    "GradientBuffer",
     "init_mlp",
     "forward",
-    "backward",
+    "value_and_grad",
     "param_count",
-    "param_list",
-    "grad_list",
-    "set_params",
     "mlp_to_json",
     "mlp_from_json",
 ]
@@ -32,19 +30,36 @@ __all__ = [
 ACTIVATIONS = ("linear", "relu", "tanh")
 
 
+def _size(widths: tuple[int, ...]) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+
+
+def _layers(flat: np.ndarray, widths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views into a vector laid out W0, b0, W1, b1, ..."""
+    out = []
+    start = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        w = flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in)
+        start += fan_out * fan_in
+        out.append((w, flat[start : start + fan_out]))
+        start += fan_out
+    return out
+
+
 @dataclass
 class Mlp:
     """Alternating affine maps and activations; no activation after the last map.
 
-    weights[i] has shape (widths[i+1], widths[i]); biases[i] has shape
-    (widths[i+1],).  Forward and backward never mutate the arrays; updates
-    replace the lists wholesale and need exclusive access.
+    ``params`` holds every parameter in one float64 vector: W0 (row-major),
+    b0, W1, b1, ...  weights[i], of shape (widths[i+1], widths[i]), and
+    biases[i], of shape (widths[i+1],), are views into it.  Passes never
+    mutate it; an update replaces ``params`` wholesale and needs exclusive
+    access.
     """
 
     widths: tuple[int, ...]
     activation: str
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
 
     def __post_init__(self) -> None:
         widths = tuple(int(w) for w in self.widths)
@@ -56,37 +71,35 @@ class Mlp:
             raise ValueError("networks map scalars to scalars: first and last width must be 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if len(self.weights) != len(widths) - 1 or len(self.biases) != len(widths) - 1:
-            raise ValueError("parameter lists must hold one entry per affine map")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (widths[i + 1], widths[i]) or b.shape != (widths[i + 1],):
-                raise ValueError(f"parameter shapes do not match widths at layer {i}")
-        object.__setattr__(self, "widths", widths)
+        params = np.asarray(self.params, dtype=np.float64)
+        size = _size(widths)
+        if params.shape != (size,):
+            raise ValueError(f"widths {widths} need {size} parameters, got shape {params.shape}")
+        self.widths = widths
+        self.params = params
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.widths) - 1
 
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return [w for w, _ in _layers(self.params, self.widths)]
 
-@dataclass
-class GradientBuffer:
-    """Per-parameter gradients, shaped exactly like the network parameters."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return [b for _, b in _layers(self.params, self.widths)]
 
 
 def init_mlp(widths: tuple[int, ...], activation: str, rng: RngSeed) -> Mlp:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     gen = make_generator(rng)
     widths = tuple(int(w) for w in widths)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(gen.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(widths=widths, activation=activation, weights=weights, biases=biases)
+    params = np.zeros(_size(widths))
+    for w, _ in _layers(params, widths):
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = gen.uniform(-bound, bound, size=w.shape)
+    return Mlp(widths=widths, activation=activation, params=params)
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -97,13 +110,13 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _activate_prime(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate_prime(a: np.ndarray, activation: str) -> np.ndarray:
+    """Derivative of the activation, from its output a."""
     if activation == "linear":
-        return np.ones_like(z)
+        return np.ones_like(a)
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)  # derivative at 0 is 0
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return (a > 0.0).astype(np.float64)  # derivative at 0 is 0
+    return 1.0 - a * a
 
 
 def _check_batch(xs: np.ndarray) -> np.ndarray:
@@ -116,72 +129,54 @@ def _check_batch(xs: np.ndarray) -> np.ndarray:
 
 
 def forward(mlp: Mlp, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch of scalars."""
+    """Evaluate the network on a batch of scalars, keeping no activations."""
     a = _check_batch(xs)[:, None]
     last = mlp.num_layers - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+    for i, (w, b) in enumerate(_layers(mlp.params, mlp.widths)):
         z = a @ w.T + b
         a = z if i == last else _activate(z, mlp.activation)
     return a.ravel()
 
 
-def backward(mlp: Mlp, xs: np.ndarray, upstream: np.ndarray) -> GradientBuffer:
-    """Gradients of sum_i upstream[i] * forward(mlp, xs)[i] w.r.t. parameters."""
+def value_and_grad(
+    mlp: Mlp, xs: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Network values on a batch and the pullback of one cached forward pass.
+
+    ``pullback(upstream)`` returns the gradient of
+    sum_i upstream[i] * values[i] with respect to ``mlp.params``, as one flat
+    vector in ``params`` order.  It uses the parameters of this call, even if
+    ``mlp.params`` is replaced in between.
+    """
     xs = _check_batch(xs)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != xs.shape:
-        raise ValueError("upstream weights must match the input batch shape")
+    params, widths, activation = mlp.params, mlp.widths, mlp.activation
+    layers = _layers(params, widths)
+    inputs = [xs[:, None]]  # input of every layer; inputs[i + 1] is layer i's output
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        z = inputs[-1] @ w.T + b
+        inputs.append(z if i == last else _activate(z, activation))
 
-    # forward pass, caching inputs and pre-activations of every layer
-    a = xs[:, None]
-    inputs = [a]
-    pre = []
-    last = mlp.num_layers - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        a = z if i == last else _activate(z, mlp.activation)
-        inputs.append(a)
+    def pullback(upstream: np.ndarray) -> np.ndarray:
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != xs.shape:
+            raise ValueError("upstream weights must match the input batch shape")
+        grad = np.empty_like(params)
+        grad_layers = _layers(grad, widths)
+        delta = upstream[:, None]
+        for i in range(last, -1, -1):
+            grad_w, grad_b = grad_layers[i]
+            grad_w[...] = delta.T @ inputs[i]
+            grad_b[...] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ layers[i][0]) * _activate_prime(inputs[i], activation)
+        return grad
 
-    grad_w: list[np.ndarray] = [np.empty(0)] * mlp.num_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * mlp.num_layers
-    delta = upstream[:, None]
-    for i in range(last, -1, -1):
-        grad_w[i] = delta.T @ inputs[i]
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ mlp.weights[i]) * _activate_prime(pre[i - 1], mlp.activation)
-    return GradientBuffer(weights=grad_w, biases=grad_b)
+    return inputs[-1].ravel(), pullback
 
 
 def param_count(mlp: Mlp) -> int:
-    return int(sum(w.size for w in mlp.weights) + sum(b.size for b in mlp.biases))
-
-
-def param_list(mlp: Mlp) -> list[np.ndarray]:
-    """Flat parameter list in a fixed order (W0, b0, W1, b1, ...)."""
-    out: list[np.ndarray] = []
-    for w, b in zip(mlp.weights, mlp.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def grad_list(buf: GradientBuffer) -> list[np.ndarray]:
-    """Gradient arrays in the same order as param_list."""
-    out: list[np.ndarray] = []
-    for w, b in zip(buf.weights, buf.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def set_params(mlp: Mlp, params: list[np.ndarray]) -> None:
-    """Install parameters produced by an optimizer step (param_list order)."""
-    if len(params) != 2 * mlp.num_layers:
-        raise ValueError("wrong number of parameter arrays")
-    mlp.weights = [params[2 * i] for i in range(mlp.num_layers)]
-    mlp.biases = [params[2 * i + 1] for i in range(mlp.num_layers)]
+    return int(mlp.params.size)
 
 
 def mlp_to_json(mlp: Mlp) -> str:
@@ -204,11 +199,14 @@ def mlp_from_json(text: str) -> Mlp:
     try:
         widths = tuple(int(w) for w in payload["widths"])
         activation = str(payload["activation"])
-        weights = [
-            np.asarray(flat, dtype=np.float64).reshape(widths[i + 1], widths[i])
-            for i, flat in enumerate(payload["weights"])
-        ]
-        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+        weights, biases = payload["weights"], payload["biases"]
+        if len(weights) != len(widths) - 1 or len(biases) != len(widths) - 1:
+            raise ValueError("parameter lists must hold one entry per affine map")
+        parts = []
+        for i, (flat, bias) in enumerate(zip(weights, biases)):
+            parts.append(np.asarray(flat, dtype=np.float64).reshape(widths[i + 1] * widths[i]))
+            parts.append(np.asarray(bias, dtype=np.float64).reshape(widths[i + 1]))
+        params = np.concatenate(parts)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed network JSON: {exc}") from exc
-    return Mlp(widths=widths, activation=activation, weights=weights, biases=biases)
+    return Mlp(widths=widths, activation=activation, params=params)

@@ -23,10 +23,10 @@ class OptimizerError(RuntimeError):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus the step counter and current rate."""
+    """First/second moment vectors plus the step counter and current rate."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int
     lr: float
     beta1: float = 0.9
@@ -35,7 +35,7 @@ class AdamState:
 
 
 def init_adam(
-    params: list[np.ndarray],
+    params: np.ndarray,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
@@ -43,9 +43,10 @@ def init_adam(
 ) -> AdamState:
     if not np.isfinite(lr) or lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr!r}")
+    params = np.asarray(params, dtype=np.float64)
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
         t=0,
         lr=float(lr),
         beta1=float(beta1),
@@ -55,34 +56,30 @@ def init_adam(
 
 
 def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> tuple[list[np.ndarray], AdamState]:
-    """One update p <- p - lr * m_hat / (sqrt(v_hat) + eps).
+    state: AdamState, params: np.ndarray, grads: np.ndarray
+) -> tuple[np.ndarray, AdamState]:
+    """One update p <- p - lr * m_hat / (sqrt(v_hat) + eps) of a parameter vector.
 
-    Returns fresh parameter arrays and a fresh state; raises OptimizerError on
-    non-finite or mis-shaped gradients without touching the state.
+    Returns a fresh parameter vector and a fresh state; raises OptimizerError
+    on non-finite or mis-shaped gradients without touching the state.
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise OptimizerError("parameter/gradient lists do not match the state")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError("non-finite gradient")
+    params = np.asarray(params, dtype=np.float64)
+    grads = np.asarray(grads, dtype=np.float64)
+    if not params.shape == grads.shape == state.m.shape:
+        raise OptimizerError(
+            f"gradient shape {grads.shape} and parameter shape {params.shape} "
+            f"do not match the state's {state.m.shape}"
+        )
+    if not np.all(np.isfinite(grads)):
+        raise OptimizerError("non-finite gradient")
 
     t = state.t + 1
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    new_m = []
-    new_v = []
-    new_p = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps))
-    return new_p, replace(state, m=new_m, v=new_v, t=t)
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    new_params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    return new_params, replace(state, m=m, v=v, t=t)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .measures import (
     leaves,
     sorted_risk,
 )
-from .net import ACTIVATIONS, Mlp, backward, forward, grad_list, init_mlp, param_list, set_params
+from .net import ACTIVATIONS, Mlp, forward, init_mlp, value_and_grad
 from .optim import OptimizerError, init_adam, init_plateau, adam_step, plateau_step
 from .oracle import brute_force_infconv, build_knots
 from .sampling import RngSeed, make_generator, wasserstein_p
@@ -206,8 +206,8 @@ def train_member(
     phi1 = init_mlp(config.widths, config.activation, RngSeed(config.base_seed, 4 * member + 1))
     phi2 = init_mlp(config.widths, config.activation, RngSeed(config.base_seed, 4 * member + 2))
     shuffler = make_generator(RngSeed(config.base_seed, 4 * member + 3))
-    adam1 = init_adam(param_list(phi1), config.learning_rate)
-    adam2 = init_adam(param_list(phi2), config.learning_rate)
+    adam1 = init_adam(phi1.params, config.learning_rate)
+    adam2 = init_adam(phi2.params, config.learning_rate)
     plateau = init_plateau(config.patience, config.threshold, config.factor, config.min_lr)
 
     lr = config.learning_rate
@@ -219,8 +219,8 @@ def train_member(
         batch_losses = []
         for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
             xb = samples[order[start : start + config.batch_size]]
-            v1 = forward(phi1, xb)
-            v2 = forward(phi2, xb)
+            v1, pull1 = value_and_grad(phi1, xb)
+            v2, pull2 = value_and_grad(phi2, xb)
             if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
                 raise TrainingError(
                     f"member {member}: non-finite network output at epoch {epoch}, batch {batch}",
@@ -234,15 +234,15 @@ def train_member(
                 )
             batch_losses.append(loss)
             try:
-                p1, adam1 = adam_step(adam1, param_list(phi1), grad_list(backward(phi1, xb, cot1)))
-                p2, adam2 = adam_step(adam2, param_list(phi2), grad_list(backward(phi2, xb, cot2)))
+                p1, adam1 = adam_step(adam1, phi1.params, pull1(cot1))
+                p2, adam2 = adam_step(adam2, phi2.params, pull2(cot2))
             except OptimizerError as exc:
                 raise TrainingError(
                     f"member {member}: {exc} at epoch {epoch}, batch {batch}",
                     member, epoch, batch, losses[:epoch].copy(),
                 ) from exc
-            set_params(phi1, p1)
-            set_params(phi2, p2)
+            phi1.params = p1
+            phi2.params = p2
         epoch_loss = float(np.mean(batch_losses))
         losses[epoch] = epoch_loss
         lrs[epoch] = lr
@@ -421,37 +421,40 @@ def l2_error(approx, exact, xs: np.ndarray) -> float:
 def distortion_density_norm(spec: RiskMeasure, q: float) -> float:
     """L^q norm over [0, 1] of the measure's rank-weighting density.
 
-    Exact for shortfall mixtures (step densities) and for grid-based spectral
-    densities (piecewise linear).  Raises for measures without such a
-    density, e.g. anything containing an entropic term.
+    The density is the weighted sum of the leaves' densities: 1/alpha on
+    (0, alpha] for a shortfall leaf, the interpolated grid for a spectral
+    leaf.  Between the merged breakpoints of all leaves it is linear, so the
+    norm is exact.  Raises for measures without such a density, i.e. any
+    spec with an entropic leaf.
     """
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    if isinstance(spec, Spectral):
-        return _piecewise_linear_q_norm(spec.grid, spec.values, q)
     terms = leaves(spec)
-    if not all(isinstance(leaf, ExpectedShortfall) for _, leaf in terms):
-        raise ValueError(f"no rank-weighting density for {spec!r}")
-    comps = [(w, leaf.alpha) for w, leaf in terms]
-    edges = np.unique(np.concatenate([[0.0, 1.0], [a for _, a in comps]]))
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    heights = np.array([sum(w / a for w, a in comps if a >= mid) for mid in mids])
+    for _, leaf in terms:
+        if not isinstance(leaf, (ExpectedShortfall, Spectral)):
+            name = type(leaf).__name__
+            raise ValueError(f"no rank-weighting density: the spec has a leaf of type {name}")
+    edges = np.unique(np.concatenate([[0.0, 1.0]] + [
+        [leaf.alpha] if isinstance(leaf, ExpectedShortfall) else leaf.grid for _, leaf in terms
+    ]))
+    # density values at the left (a) and right (b) end of each segment
+    a = np.zeros(edges.size - 1)
+    b = np.zeros(edges.size - 1)
+    for w, leaf in terms:
+        if isinstance(leaf, ExpectedShortfall):
+            step = np.where(leaf.alpha >= edges[1:], w / leaf.alpha, 0.0)
+            a += step
+            b += step
+        else:
+            a += w * np.interp(edges[:-1], leaf.grid, leaf.values)
+            b += w * np.interp(edges[1:], leaf.grid, leaf.values)
     if np.isinf(q):
-        return float(heights.max())
-    return float((np.sum(heights**q * np.diff(edges))) ** (1.0 / q))
-
-
-def _piecewise_linear_q_norm(grid: np.ndarray, values: np.ndarray, q: float) -> float:
-    if np.isinf(q):
-        return float(values.max())
-    a = values[:-1]
-    b = values[1:]
-    du = np.diff(grid)
+        return float(max(a.max(), b.max()))
     flat = np.isclose(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         seg = (b ** (q + 1.0) - a ** (q + 1.0)) / ((q + 1.0) * (b - a))
     seg = np.where(flat, a**q, seg)
-    return float((seg @ du) ** (1.0 / q))
+    return float((seg @ np.diff(edges)) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

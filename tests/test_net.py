@@ -7,15 +7,12 @@ from infconv import (
     ACTIVATIONS,
     Mlp,
     RngSeed,
-    backward,
     forward,
-    grad_list,
     init_mlp,
     mlp_from_json,
     mlp_to_json,
     param_count,
-    param_list,
-    set_params,
+    value_and_grad,
 )
 
 
@@ -61,7 +58,7 @@ def test_constructor_validation():
         make_net((1, 4, 1), "sigmoid")
     net = make_net((1, 4, 1), "relu")
     with pytest.raises(ValueError):
-        Mlp(widths=(1, 4, 1), activation="relu", weights=net.weights, biases=net.biases[:1])
+        Mlp(widths=(1, 4, 1), activation="relu", params=net.params[:-1])
 
 
 def test_single_affine_map_forward_backward():
@@ -69,11 +66,13 @@ def test_single_affine_map_forward_backward():
     w = float(net.weights[0][0, 0])
     xs = np.array([3.0])
     assert np.allclose(forward(net, xs), w * 3.0, atol=1e-15)
-    g = backward(net, xs, np.array([1.0]))
-    # d(wx+b)/dw = x, d/db = 1
-    assert g.weights[0].shape == (1, 1)
-    assert abs(g.weights[0][0, 0] - 3.0) < 1e-15
-    assert abs(g.biases[0][0] - 1.0) < 1e-15
+    values, pullback = value_and_grad(net, xs)
+    assert np.array_equal(values, forward(net, xs))
+    g = pullback(np.array([1.0]))
+    # d(wx+b)/dw = x, d/db = 1, laid out as (W0, b0)
+    assert g.shape == (2,)
+    assert abs(g[0] - 3.0) < 1e-15
+    assert abs(g[1] - 1.0) < 1e-15
 
 
 def test_linear_activation_network_is_affine():
@@ -105,25 +104,17 @@ def test_forward_rejects_bad_batches():
 
 
 def _finite_difference_grads(net, xs, upstream, h=1e-7):
-    params = param_list(net)
-    fd = []
-    for k, p in enumerate(params):
-        g = np.zeros_like(p)
-        flat = g.reshape(-1)
-        for j in range(p.size):
-            bump = np.zeros_like(p).reshape(-1)
-            bump[j] = h
-            up = [q.copy() for q in params]
-            dn = [q.copy() for q in params]
-            up[k] = up[k] + bump.reshape(p.shape)
-            dn[k] = dn[k] - bump.reshape(p.shape)
-            set_params(net, up)
-            f_up = float(upstream @ forward(net, xs))
-            set_params(net, dn)
-            f_dn = float(upstream @ forward(net, xs))
-            flat[j] = (f_up - f_dn) / (2 * h)
-        set_params(net, params)
-        fd.append(g)
+    params = net.params
+    fd = np.zeros_like(params)
+    for j in range(params.size):
+        bump = np.zeros_like(params)
+        bump[j] = h
+        net.params = params + bump
+        f_up = float(upstream @ forward(net, xs))
+        net.params = params - bump
+        f_dn = float(upstream @ forward(net, xs))
+        fd[j] = (f_up - f_dn) / (2 * h)
+    net.params = params
     return fd
 
 
@@ -159,10 +150,9 @@ def test_backward_matches_finite_differences():
             else:
                 xs = rng.uniform(-2.0, 2.0, size=7)
             upstream = rng.normal(size=7)
-            got = backward(net, xs, upstream)
+            got = value_and_grad(net, xs)[1](upstream)
             fd = _finite_difference_grads(net, xs, upstream)
-            for g_exact, g_fd in zip(grad_list(got), fd):
-                assert np.allclose(g_exact, g_fd, rtol=1e-5, atol=1e-7)
+            assert np.allclose(got, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_backward_linear_in_upstream():
@@ -171,38 +161,33 @@ def test_backward_linear_in_upstream():
     xs = rng.uniform(-2.0, 2.0, size=20)
     u1 = rng.normal(size=20)
     u2 = rng.normal(size=20)
-    g1 = grad_list(backward(net, xs, u1))
-    g2 = grad_list(backward(net, xs, u2))
-    g12 = grad_list(backward(net, xs, u1 + u2))
-    for a, b, c in zip(g1, g2, g12):
-        assert np.allclose(a + b, c, atol=1e-12)
+    _, pullback = value_and_grad(net, xs)
+    assert np.allclose(pullback(u1) + pullback(u2), pullback(u1 + u2), atol=1e-12)
 
 
 def test_relu_derivative_at_kink_is_zero():
-    net = Mlp(
-        widths=(1, 1, 1),
-        activation="relu",
-        weights=[np.array([[1.0]]), np.array([[1.0]])],
-        biases=[np.array([0.0]), np.array([0.0])],
-    )
-    g = backward(net, np.array([0.0]), np.array([1.0]))
+    # (W0, b0, W1, b1) = (1, 0, 1, 0)
+    net = Mlp(widths=(1, 1, 1), activation="relu", params=np.array([1.0, 0.0, 1.0, 0.0]))
+    g = value_and_grad(net, np.array([0.0]))[1](np.array([1.0]))
     # pre-activation is exactly 0; the derivative there is pinned to 0
-    assert g.weights[0][0, 0] == 0.0
-    assert g.biases[0][0] == 0.0
+    assert g[0] == 0.0
+    assert g[1] == 0.0
     # the output-layer bias still sees the upstream signal
-    assert g.biases[1][0] == 1.0
+    assert g[3] == 1.0
 
 
-def test_param_list_set_params_round_trip():
+def test_flat_params_layout_and_views():
     net = make_net((1, 10, 10, 1), "relu", seed=8)
-    params = param_list(net)
-    assert len(params) == 6  # alternating weight, bias per affine map
-    doubled = [2.0 * p for p in params]
-    set_params(net, doubled)
-    for got, want in zip(param_list(net), doubled):
-        assert np.array_equal(got, want)
+    # W0 (10x1), b0, W1 (10x10, row-major), b1, W2 (1x10), b2
+    bounds = np.cumsum([0, 10, 10, 100, 10, 10, 1])
+    pieces = [p for pair in zip(net.weights, net.biases) for p in pair]
+    for piece, lo, hi in zip(pieces, bounds[:-1], bounds[1:]):
+        assert np.shares_memory(piece, net.params)
+        assert np.array_equal(piece.ravel(), net.params[lo:hi])
+    net.params = 2.0 * net.params  # an update replaces the vector; the views follow it
+    assert np.array_equal(net.weights[1].ravel(), net.params[20:120])
     with pytest.raises(ValueError):
-        set_params(net, doubled[:-1])
+        Mlp(widths=net.widths, activation=net.activation, params=net.params[:-1])
 
 
 def test_json_round_trip_is_bit_exact():
@@ -212,7 +197,6 @@ def test_json_round_trip_is_bit_exact():
         clone = mlp_from_json(mlp_to_json(net))
         assert clone.widths == net.widths
         assert clone.activation == net.activation
-        for a, b in zip(param_list(net), param_list(clone)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.params, clone.params)
         xs = rng.uniform(-3.0, 3.0, size=17)
         assert np.array_equal(forward(net, xs), forward(clone, xs))

@@ -13,62 +13,69 @@ from infconv import (
 
 
 def test_first_step_matches_hand_calculation():
-    params = [np.array([1.0])]
-    grads = [np.array([1.0])]
+    params = np.array([1.0])
+    grads = np.array([1.0])
     state = init_adam(params, lr=0.1)
     new_params, new_state = adam_step(state, params, grads)
     # bias-corrected first and second moments both equal the gradient terms
     m_hat = (0.1 * 1.0) / (1.0 - 0.9)
     v_hat = (0.001 * 1.0) / (1.0 - 0.999)
     expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    assert abs(new_params[0][0] - expected) < 1e-12
-    assert abs((new_params[0][0] - 1.0) + 0.1) < 1e-8
+    assert abs(new_params[0] - expected) < 1e-12
+    assert abs((new_params[0] - 1.0) + 0.1) < 1e-8
     assert new_state.t == 1
     # the input arrays are left untouched
-    assert params[0][0] == 1.0
+    assert params[0] == 1.0
     assert state.t == 0
 
 
 def test_step_direction_flips_with_gradient():
-    params = [np.array([0.5, -0.25])]
+    params = np.array([0.5, -0.25])
     state = init_adam(params, lr=0.01)
-    up, _ = adam_step(state, params, [np.array([1.0, 2.0])])
-    dn, _ = adam_step(state, params, [np.array([-1.0, -2.0])])
-    assert np.allclose(up[0] - params[0], -(dn[0] - params[0]), atol=1e-12)
+    up, _ = adam_step(state, params, np.array([1.0, 2.0]))
+    dn, _ = adam_step(state, params, np.array([-1.0, -2.0]))
+    assert np.allclose(up - params, -(dn - params), atol=1e-12)
 
 
 def test_quadratic_convergence():
     # minimize p^2 by following its gradient
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = init_adam(params, lr=1e-2)
     for _ in range(10000):
-        grads = [2.0 * params[0]]
+        grads = 2.0 * params
         params, state = adam_step(state, params, grads)
-    assert abs(params[0][0]) <= 1e-3
+    assert abs(params[0]) <= 1e-3
 
 
 def test_multi_tensor_layout():
+    # a step on concatenated tensors equals separate steps on each tensor
     rng = np.random.default_rng(3)
     params = [rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(1, 4))]
     grads = [rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(1, 4))]
-    state = init_adam(params, lr=0.05)
-    out, new_state = adam_step(state, params, grads)
-    assert [p.shape for p in out] == [p.shape for p in params]
+    flat_p = np.concatenate([p.ravel() for p in params])
+    flat_g = np.concatenate([g.ravel() for g in grads])
+    state = init_adam(flat_p, lr=0.05)
+    out, new_state = adam_step(state, flat_p, flat_g)
+    assert out.shape == flat_p.shape
     assert new_state.t == 1
+    pieces = [adam_step(init_adam(p.ravel(), lr=0.05), p.ravel(), g.ravel())[0]
+              for p, g in zip(params, grads)]
+    assert np.array_equal(out, np.concatenate(pieces))
     # every coordinate moves by at most lr (plus epsilon slack) on step one
-    for p, q in zip(params, out):
-        assert np.all(np.abs(q - p) <= 0.05 + 1e-9)
+    assert np.all(np.abs(out - flat_p) <= 0.05 + 1e-9)
 
 
 def test_adam_step_validation():
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = init_adam(params, lr=0.1)
     with pytest.raises(OptimizerError):
-        adam_step(state, params, [np.array([1.0, 2.0])])
+        adam_step(state, params, np.array([1.0, 2.0]))
     with pytest.raises(OptimizerError):
-        adam_step(state, params, [np.array([np.nan])])
+        adam_step(state, params, np.array([np.nan]))
     with pytest.raises(OptimizerError):
-        adam_step(state, params, [])
+        adam_step(state, params, np.array([]))
+    with pytest.raises(OptimizerError):
+        adam_step(state, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     # failed steps leave the state untouched
     assert state.t == 0
     with pytest.raises(ValueError):

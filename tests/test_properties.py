@@ -1,20 +1,25 @@
-"""Property tests over random nested risk specs (hypothesis).
+"""Property tests over random nested risk specs and networks (hypothesis).
 
 Specs nest up to the depth cap of 4 and include spectral densities.  The
 reference for every evaluation is the per-family evaluators
 (``eval_entropic``, ``eval_es``, ``eval_spectral``) applied to a flattening
 written here, independent of the package's own walk over spec types.
+Networks have random widths, activations and parameters.
 """
+
+import json
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from infconv import (
+    ACTIVATIONS,
     Combination,
     Distortion,
     Entropic,
     ExpectedShortfall,
+    RngSeed,
     Spectral,
     empirical,
     es_spectral_density,
@@ -23,8 +28,14 @@ from infconv import (
     eval_spectral,
     eval_with_grad,
     evaluate,
+    forward,
+    init_mlp,
+    mlp_from_json,
+    mlp_to_json,
+    param_count,
     parse_risk_spec,
     render_risk_spec,
+    value_and_grad,
 )
 from infconv.measures import leaves, sorted_risk
 from infconv.oracle import GridAllocation, build_knots, oracle_objective
@@ -177,3 +188,55 @@ def test_sorted_risk_on_a_matrix_matches_each_column(spec, columns, n):
         assert _close(values[k], value, 1e-12)
         assert np.allclose(grads[:, k], grad, rtol=0.0, atol=1e-15)
         assert sorted_risk(spec, matrix[:, k].copy()) == value
+
+
+@st.composite
+def networks(draw):
+    hidden = draw(st.lists(st.integers(1, 12), max_size=3))
+    seed = draw(st.integers(0, 2**16))
+    net = init_mlp((1, *hidden, 1), draw(st.sampled_from(ACTIVATIONS)), RngSeed(seed, 1))
+    # jitter every parameter, so biases are non-zero too
+    net.params = net.params + np.random.default_rng(seed).normal(scale=0.5, size=net.params.size)
+    return net
+
+
+batches = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30).map(np.array)
+
+
+@given(networks(), batches)
+def test_value_and_grad_values_are_forward_bit_for_bit(net, xs):
+    values, _ = value_and_grad(net, xs)
+    assert values.tobytes() == forward(net, xs).tobytes()
+
+
+@given(networks(), batches, st.floats(-2.0, 2.0), st.data())
+def test_pullback_is_flat_and_linear_in_upstream(net, xs, c, data):
+    upstream = st.lists(st.floats(-2.0, 2.0), min_size=xs.size, max_size=xs.size).map(np.array)
+    u1, u2 = data.draw(upstream), data.draw(upstream)
+    _, pullback = value_and_grad(net, xs)
+    g1, g2 = pullback(u1), pullback(u2)
+    assert g1.shape == (param_count(net),)
+    scale = max(1.0, np.abs(g1).max(), np.abs(g2).max())
+    assert np.allclose(pullback(c * u1 + u2), c * g1 + g2, rtol=0.0, atol=1e-12 * scale)
+
+
+def reference_json(net):
+    """The network JSON format: per-layer row-major weights and biases, sorted keys."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(net.widths[:-1], net.widths[1:]):
+        weights.append(net.params[start : start + fan_in * fan_out].tolist())
+        start += fan_in * fan_out
+        biases.append(net.params[start : start + fan_out].tolist())
+        start += fan_out
+    payload = {"widths": list(net.widths), "activation": net.activation,
+               "weights": weights, "biases": biases}
+    return json.dumps(payload, sort_keys=True)
+
+
+@given(networks())
+def test_json_round_trip_keeps_params_and_format(net):
+    text = mlp_to_json(net)
+    assert text == reference_json(net)
+    clone = mlp_from_json(text)
+    assert clone.params.tobytes() == net.params.tobytes()
+    assert (clone.widths, clone.activation) == (net.widths, net.activation)

@@ -28,7 +28,6 @@ from infconv import (
     metric_d,
     metric_d_mu,
     pair_loss,
-    param_list,
     spectral_stability_check,
     train_ensemble,
     train_member,
@@ -192,8 +191,7 @@ def test_training_is_deterministic():
     )
     a = train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=0)
     b = train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=0)
-    for p, q in zip(param_list(a.phi1), param_list(b.phi1)):
-        assert np.array_equal(p, q)
+    assert np.array_equal(a.phi1.params, b.phi1.params)
     assert np.array_equal(a.losses, b.losses)
     c = train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=1)
     assert not np.array_equal(a.losses, c.losses)
@@ -379,6 +377,16 @@ def test_density_norm_closed_forms():
     assert abs(distortion_density_norm(sp, 2.0) - 0.36 ** (1 / 2 - 1)) < 1e-6
     with pytest.raises(ValueError):
         distortion_density_norm(Entropic(1.0), 2.0)
+
+
+def test_density_norm_mixes_spectral_and_shortfall_leaves():
+    mixed = Combination(((0.5, es_spectral_density(0.8)), (0.5, ExpectedShortfall(0.7))))
+    steps = Distortion(((0.5, 0.8), (0.5, 0.7)))
+    for q in (2.0, np.inf):
+        assert abs(distortion_density_norm(mixed, q) - distortion_density_norm(steps, q)) < 1e-6
+    with pytest.raises(ValueError, match="Entropic") as info:
+        distortion_density_norm(Combination(((0.5, mixed), (0.5, Entropic(1.0)))), 2.0)
+    assert len(str(info.value)) < 80
 
 
 def test_stability_check_equal_samples():
