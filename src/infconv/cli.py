@@ -340,6 +340,14 @@ def _round9(obj):
     return obj
 
 
+def _member_firsts(members, xs: np.ndarray) -> np.ndarray:
+    """(members, n) first shares: one network pass per member over xs.
+
+    Its mean over axis 0 is what EnsembleAllocation.first returns, bit for bit.
+    """
+    return np.stack([m.first(xs) for m in members])
+
+
 def run_experiment(spec: ExperimentSpec):
     """Draw data, train the ensemble, evaluate all metrics.
 
@@ -350,16 +358,15 @@ def run_experiment(spec: ExperimentSpec):
     result = train_ensemble(samples, spec.rho1, spec.rho2, cfg)
     members = result.allocation.members
 
-    final_losses = np.array(
-        [pair_loss(spec.rho1, spec.rho2, samples, m.first(samples)) for m in members]
-    )
-    ensemble_final = pair_loss(spec.rho1, spec.rho2, samples, result.allocation.first(samples))
+    def losses(xs):
+        """Each member's pooled risk on xs, and the ensemble's from the same passes."""
+        firsts = _member_firsts(members, xs)
+        member = np.array([pair_loss(spec.rho1, spec.rho2, xs, f) for f in firsts])
+        return member, pair_loss(spec.rho1, spec.rho2, xs, firsts.mean(axis=0))
 
+    final_losses, ensemble_final = losses(samples)
     eval_xs = stratified_sample(spec.distribution, _EVAL_POINTS)
-    eval_losses = np.array(
-        [pair_loss(spec.rho1, spec.rho2, eval_xs, m.first(eval_xs)) for m in members]
-    )
-    ensemble_eval = pair_loss(spec.rho1, spec.rho2, eval_xs, result.allocation.first(eval_xs))
+    eval_losses, ensemble_eval = losses(eval_xs)
 
     analytic = analytic_infconv(spec.rho1, spec.rho2, spec.distribution)
     relative_error = relative_error_std = None
@@ -386,7 +393,7 @@ def run_experiment(spec: ExperimentSpec):
 
     lo, hi = support(spec.distribution)
     grid = np.linspace(lo, hi, _CURVE_POINTS)
-    firsts = np.stack([m.first(grid) for m in members])
+    firsts = _member_firsts(members, grid)
     seconds = grid[None, :] - firsts
 
     report = ExperimentReport(

@@ -113,6 +113,20 @@ def _truncnorm_cdf_bounds(dist: TruncNormal) -> tuple[float, float]:
     return float(a), float(b)
 
 
+def _truncnorm_tail_bounds(dist: TruncNormal) -> tuple[float, float, bool]:
+    """Standard-normal CDF bounds a < b of the interval, and whether mirrored.
+
+    An interval above the mean is mirrored below it, a, b = ndtr(-z_hi),
+    ndtr(-z_lo): lower-tail masses keep their relative precision, while
+    ndtr(z_lo) and ndtr(z_hi) both round to 1.0 once z_lo passes about 8.3.
+    """
+    if dist.lo > dist.mean:
+        a = special.ndtr((dist.mean - dist.hi) / dist.sd)
+        b = special.ndtr((dist.mean - dist.lo) / dist.sd)
+        return float(a), float(b), True
+    return (*_truncnorm_cdf_bounds(dist), False)
+
+
 def quantile(dist: Distribution, u: np.ndarray | float) -> np.ndarray:
     """Inverse cumulative distribution function, vectorized over u in [0, 1]."""
     u = np.asarray(u, dtype=np.float64)
@@ -121,8 +135,13 @@ def quantile(dist: Distribution, u: np.ndarray | float) -> np.ndarray:
     if isinstance(dist, Uniform):
         return dist.lo + u * (dist.hi - dist.lo)
     if isinstance(dist, TruncNormal):
-        a, b = _truncnorm_cdf_bounds(dist)
-        x = dist.mean + dist.sd * special.ndtri(a + u * (b - a))
+        a, b, mirrored = _truncnorm_tail_bounds(dist)
+        if mirrored:
+            # a + (1 - u)(b - a) is the upper-tail mass above x; anchored
+            # at a, it keeps its relative precision as u approaches 1.
+            x = dist.mean - dist.sd * special.ndtri(a + (1.0 - u) * (b - a))
+        else:
+            x = dist.mean + dist.sd * special.ndtri(a + u * (b - a))
         return np.clip(x, dist.lo, dist.hi)
     if isinstance(dist, NegBeta):
         return -special.betaincinv(dist.a, dist.b, 1.0 - u)
@@ -137,7 +156,7 @@ def pdf(dist: Distribution, x: np.ndarray | float) -> np.ndarray:
     if isinstance(dist, Uniform):
         return np.where(inside, 1.0 / (dist.hi - dist.lo), 0.0)
     if isinstance(dist, TruncNormal):
-        a, b = _truncnorm_cdf_bounds(dist)
+        a, b, _ = _truncnorm_tail_bounds(dist)
         z = (x - dist.mean) / dist.sd
         dens = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * dist.sd * (b - a))
         return np.where(inside, dens, 0.0)
@@ -162,6 +181,9 @@ def draw(dist: Distribution, n: int, rng: RngSeed) -> np.ndarray:
         return dist.lo + (dist.hi - dist.lo) * gen.uniform(size=n)
     if isinstance(dist, TruncNormal):
         a, b = _truncnorm_cdf_bounds(dist)
+        # Far in a tail b - a falls below the 1e-12 floor (in the upper tail
+        # it rounds to 0), and the first block is sized at about 1e12 normals
+        # per draw: such intervals cannot be drawn yet.
         accept = max(b - a, 1e-12)
         out = np.empty(n)
         have = 0

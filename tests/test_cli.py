@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, result files, exit codes."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from infconv import (
     NegBeta,
     Uniform,
 )
+from infconv import sharing
 from infconv.cli import (
     ConfigError,
     compare_reports,
@@ -17,6 +19,7 @@ from infconv.cli import (
     main,
     parse_experiment,
     render_experiment,
+    run_experiment,
 )
 
 MINIMAL = """\
@@ -238,6 +241,24 @@ def test_run_command_writes_stable_files(tmp_path, capsys):
     capsys.readouterr()
     for name in names:
         assert (out / name).read_bytes() == first[name]
+
+
+def test_run_evaluates_each_network_once_per_point_set(monkeypatch):
+    # training sample, evaluation grid, L2 grid and curve grid: each member's
+    # two networks run once on each, and training makes no forward call
+    sizes = Counter()
+    real_forward = sharing.forward
+
+    def counting_forward(mlp, xs):
+        sizes[len(xs)] += 1
+        return real_forward(mlp, xs)
+
+    monkeypatch.setattr(sharing, "forward", counting_forward)
+    spec = parse_experiment(TINY_RUN)
+    report, _ = run_experiment(spec)
+    assert report.l2_allocation_error is not None
+    members = spec.train.ensemble_size
+    assert sizes == {400: 2 * members, 200_001: 2 * members, 10_001: 2 * members, 401: 2 * members}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

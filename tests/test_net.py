@@ -1,5 +1,7 @@
 """Feed-forward nets: shapes, forwards, hand-written gradients, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,20 @@ def test_forward_batch_matches_single():
         batch = forward(net, xs)
         single = np.array([forward(net, xs[i : i + 1])[0] for i in range(xs.size)])
         assert np.allclose(batch, single, atol=1e-12)
+
+
+def test_forward_memory_does_not_grow_with_width_times_batch():
+    # a pass that holds whole-batch (200001, 100) activations peaks at about 610 MB
+    net = make_net((1, 100, 100, 100, 1), "relu", seed=4)
+    xs = np.linspace(-1.0, 1.0, 200_001)
+    tracemalloc.start()
+    try:
+        out = forward(net, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == xs.shape
+    assert peak < 16 * 2**20
 
 
 def test_forward_rejects_bad_batches():

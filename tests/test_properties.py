@@ -240,3 +240,14 @@ def test_json_round_trip_keeps_params_and_format(net):
     clone = mlp_from_json(text)
     assert clone.params.tobytes() == net.params.tobytes()
     assert (clone.widths, clone.activation) == (net.widths, net.activation)
+
+
+@given(networks(), st.integers(1, 3), st.integers(0, 1023), st.integers(0, 2**16))
+def test_forward_is_blocked_in_aligned_1024_row_slices(net, k, r, seed):
+    xs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=k * 1024 + r)
+    out = forward(net, xs)
+    sliced = np.concatenate([forward(net, xs[i : i + 1024]) for i in range(0, xs.size, 1024)])
+    assert out.tobytes() == sliced.tobytes()
+    assert forward(net, xs).tobytes() == out.tobytes()
+    values, _ = value_and_grad(net, xs)
+    assert np.allclose(out, values, rtol=1e-12, atol=1e-12)

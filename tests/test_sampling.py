@@ -1,7 +1,10 @@
 """Distributions, seeded draws, stratified grids, and Wasserstein distances."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from infconv import (
     NegBeta,
@@ -113,6 +116,23 @@ def test_pdf_matches_quantile_inverse():
     h = 1e-6
     dq = (quantile(dist, us + h) - quantile(dist, us - h)) / (2 * h)
     assert np.allclose(dq, 1.0 / pdf(dist, quantile(dist, us)), rtol=1e-4)
+
+
+@pytest.mark.parametrize("lo, hi", [(9.0, 10.0), (30.0, 31.0)])
+def test_far_upper_tail_truncnormal_matches_scipy(lo, hi):
+    # ndtr(lo) and ndtr(hi) both round to 1.0 here: the interval's mass and
+    # quantiles must come from the mirrored lower tail
+    dist = TruncNormal(0.0, 1.0, lo, hi)
+    us = np.linspace(0.0005, 0.9995, 1000)
+    qs = quantile(dist, us)
+    assert np.allclose(qs, truncnorm.ppf(us, lo, hi), rtol=0.0, atol=1e-13)
+    assert np.all(np.diff(qs) > 0.0)
+    assert np.allclose(quantile(dist, np.array([0.0, 1.0])), [lo, hi], rtol=0.0, atol=1e-12)
+    xs = np.linspace(lo, hi, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = pdf(dist, xs)
+    assert np.allclose(dens, truncnorm.pdf(xs, lo, hi), rtol=1e-12, atol=0.0)
 
 
 def test_stratified_sample_shape():
