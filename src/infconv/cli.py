@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,27 +76,31 @@ _CURVE_POINTS = 401
 _EVAL_POINTS = 200_001
 _L2_POINTS = 10_001
 
+
+def _parse_int(value: str) -> int:
+    return int(value, 10)
+
+
+def _parse_widths(value: str) -> tuple[int, ...]:
+    return tuple(int(part.strip(), 10) for part in value.split(","))
+
+
+# How a training key is read and echoed, by the type of its TrainConfig default.
+_CODECS = {
+    int: (_parse_int, str),
+    float: (float, repr),
+    str: (str.lower, str),
+    tuple: (_parse_widths, lambda widths: ",".join(str(w) for w in widths)),
+}
+# The training keys are TrainConfig's fields, in declaration order, which is
+# also their order in a config; base_seed is the config's ``seed`` key.
+_TRAIN_CODECS = {
+    f.name: _CODECS[type(f.default)] for f in fields(TrainConfig) if f.name != "base_seed"
+}
 _KEYS = (
-    "name",
-    "distribution",
-    "rho1",
-    "rho2",
-    "profile",
-    "seed",
-    "n_samples",
-    "batch_size",
-    "epochs",
-    "learning_rate",
-    "ensemble_size",
-    "hidden_widths",
-    "activation",
-    "patience",
-    "threshold",
-    "factor",
-    "min_lr",
-    "oracle_segments",
-    "oracle_levels",
-    "out_dir",
+    "name", "distribution", "rho1", "rho2", "profile", "seed",
+    *_TRAIN_CODECS,
+    "oracle_segments", "oracle_levels", "out_dir",
 )
 
 
@@ -127,19 +131,15 @@ def _uses_distortion(spec: RiskMeasure) -> bool:
     return False
 
 
-def _profile_defaults(profile: str, rho1: RiskMeasure, rho2: RiskMeasure) -> dict:
+def _profile_defaults(profile: str, rho1: RiskMeasure, rho2: RiskMeasure) -> TrainConfig:
+    """The profile's training defaults: desk is TrainConfig's own defaults."""
     if profile == "desk":
-        return dict(
-            n_samples=20_000, batch_size=1_000, epochs=150, learning_rate=1e-4,
-            ensemble_size=3, hidden_widths=(64, 64), activation="relu",
-            patience=10, threshold=1e-6, factor=0.1, min_lr=0.0,
-        )
+        return TrainConfig()
     if profile == "paper":
         epochs = 200 if (_uses_distortion(rho1) or _uses_distortion(rho2)) else 300
-        return dict(
-            n_samples=100_000, batch_size=1_000, epochs=epochs, learning_rate=1e-6,
-            ensemble_size=3, hidden_widths=(100, 100, 100), activation="relu",
-            patience=1_000, threshold=1e-6, factor=0.1, min_lr=0.0,
+        return TrainConfig(
+            n_samples=100_000, epochs=epochs, learning_rate=1e-6,
+            hidden_widths=(100, 100, 100), patience=1_000,
         )
     raise ConfigError(f"unknown profile {profile!r}, expected one of {_PROFILES}")
 
@@ -175,14 +175,6 @@ def _parse_with(entries: dict[str, tuple[str, int]], key: str, parser, default):
         raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from exc
 
 
-def _parse_int(value: str) -> int:
-    return int(value, 10)
-
-
-def _parse_widths(value: str) -> tuple[int, ...]:
-    return tuple(int(part.strip(), 10) for part in value.split(","))
-
-
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse a flat key-value experiment config with line diagnostics."""
     entries = _split_lines(text)
@@ -200,22 +192,14 @@ def parse_experiment(text: str) -> ExperimentSpec:
 
     defaults = _profile_defaults(profile, rho1, rho2)
     seed = _parse_with(entries, "seed", _parse_int, 0)
-    fields = dict(
-        n_samples=_parse_with(entries, "n_samples", _parse_int, defaults["n_samples"]),
-        batch_size=_parse_with(entries, "batch_size", _parse_int, defaults["batch_size"]),
-        epochs=_parse_with(entries, "epochs", _parse_int, defaults["epochs"]),
-        learning_rate=_parse_with(entries, "learning_rate", float, defaults["learning_rate"]),
-        ensemble_size=_parse_with(entries, "ensemble_size", _parse_int, defaults["ensemble_size"]),
-        hidden_widths=_parse_with(entries, "hidden_widths", _parse_widths, defaults["hidden_widths"]),
-        activation=_parse_with(entries, "activation", str.lower, defaults["activation"]),
-        patience=_parse_with(entries, "patience", _parse_int, defaults["patience"]),
-        threshold=_parse_with(entries, "threshold", float, defaults["threshold"]),
-        factor=_parse_with(entries, "factor", float, defaults["factor"]),
-        min_lr=_parse_with(entries, "min_lr", float, defaults["min_lr"]),
-    )
+    given = {
+        key: _parse_with(entries, key, parse, None)
+        for key, (parse, _) in _TRAIN_CODECS.items()
+        if key in entries
+    }
     try:
         RngSeed(seed, 0)
-        train = TrainConfig(base_seed=seed, **fields)
+        train = replace(defaults, base_seed=seed, **given)
     except ValueError as exc:
         raise ConfigError(f"invalid training configuration: {exc}") from exc
 
@@ -242,17 +226,7 @@ def _config_echo(spec: ExperimentSpec) -> dict[str, str]:
         "rho2": render_risk_spec(spec.rho2),
         "profile": spec.profile,
         "seed": str(cfg.base_seed),
-        "n_samples": str(cfg.n_samples),
-        "batch_size": str(cfg.batch_size),
-        "epochs": str(cfg.epochs),
-        "learning_rate": repr(cfg.learning_rate),
-        "ensemble_size": str(cfg.ensemble_size),
-        "hidden_widths": ",".join(str(w) for w in cfg.hidden_widths),
-        "activation": cfg.activation,
-        "patience": str(cfg.patience),
-        "threshold": repr(cfg.threshold),
-        "factor": repr(cfg.factor),
-        "min_lr": repr(cfg.min_lr),
+        **{key: render(getattr(cfg, key)) for key, (_, render) in _TRAIN_CODECS.items()},
     }
     if spec.oracle_segments is not None:
         echo["oracle_segments"] = str(spec.oracle_segments)
@@ -340,6 +314,28 @@ def _round9(obj):
     return obj
 
 
+def _curve_columns(report: ExperimentReport) -> dict[str, np.ndarray]:
+    """The curve_* fields, keyed by their allocation_curve column names."""
+    return {
+        f.name.removeprefix("curve_"): getattr(report, f.name)
+        for f in fields(report)
+        if f.name.startswith("curve_")
+    }
+
+
+def _training_sample(spec: ExperimentSpec) -> np.ndarray:
+    """The stream-0 sample that training and the oracle share."""
+    return draw(spec.distribution, spec.train.n_samples, RngSeed(spec.train.base_seed, 0))
+
+
+def _solve_oracle(spec: ExperimentSpec, samples: np.ndarray):
+    """Brute-force solve on samples at the configured grid resolution."""
+    return brute_force_infconv(
+        spec.rho1, spec.rho2, empirical(samples),
+        segments=spec.oracle_segments, levels=spec.oracle_levels,
+    )
+
+
 def _member_firsts(members, xs: np.ndarray) -> np.ndarray:
     """(members, n) first shares: one network pass per member over xs.
 
@@ -353,9 +349,8 @@ def run_experiment(spec: ExperimentSpec):
 
     Returns (report, history); writing files is a separate step.
     """
-    cfg = spec.train
-    samples = draw(spec.distribution, cfg.n_samples, RngSeed(cfg.base_seed, 0))
-    result = train_ensemble(samples, spec.rho1, spec.rho2, cfg)
+    samples = _training_sample(spec)
+    result = train_ensemble(samples, spec.rho1, spec.rho2, spec.train)
     members = result.allocation.members
 
     def losses(xs):
@@ -383,10 +378,7 @@ def run_experiment(spec: ExperimentSpec):
 
     oracle_value = oracle_slopes = oracle_evaluations = None
     if spec.oracle_segments is not None:
-        oracle = brute_force_infconv(
-            spec.rho1, spec.rho2, empirical(samples),
-            segments=spec.oracle_segments, levels=spec.oracle_levels,
-        )
+        oracle = _solve_oracle(spec, samples)
         oracle_value = oracle.value
         oracle_slopes = [float(s) for s in oracle.slopes]
         oracle_evaluations = oracle.evaluations
@@ -424,30 +416,9 @@ def run_experiment(spec: ExperimentSpec):
 
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
-        "name": report.name,
-        "version": report.version,
-        "config": report.config,
-        "final_loss_mean": report.final_loss_mean,
-        "final_loss_std": report.final_loss_std,
-        "ensemble_final_loss": report.ensemble_final_loss,
-        "eval_loss_mean": report.eval_loss_mean,
-        "eval_loss_std": report.eval_loss_std,
-        "ensemble_eval_loss": report.ensemble_eval_loss,
-        "analytic_infimum": report.analytic_infimum,
-        "relative_error": report.relative_error,
-        "relative_error_std": report.relative_error_std,
-        "l2_allocation_error": report.l2_allocation_error,
-        "oracle_value": report.oracle_value,
-        "oracle_slopes": report.oracle_slopes,
-        "oracle_evaluations": report.oracle_evaluations,
-        "allocation_curve": {
-            "x": report.curve_x.tolist(),
-            "phi1_mean": report.curve_phi1_mean.tolist(),
-            "phi1_std": report.curve_phi1_std.tolist(),
-            "phi2_mean": report.curve_phi2_mean.tolist(),
-            "phi2_std": report.curve_phi2_std.tolist(),
-        },
+        f.name: getattr(report, f.name) for f in fields(report) if not f.name.startswith("curve_")
     }
+    payload["allocation_curve"] = {k: v.tolist() for k, v in _curve_columns(report).items()}
     return json.dumps(_round9(payload), indent=2) + "\n"
 
 
@@ -459,24 +430,15 @@ def write_report_files(spec: ExperimentSpec, report: ExperimentReport, history) 
     report_path.write_text(report_to_json(report), encoding="utf-8")
 
     history_path = out / "loss_history.csv"
+    rows = zip(history.mean_loss, history.std_loss, history.mean_lr)
     lines = ["epoch,mean_loss,std_loss,lr"]
-    mean_loss = history.mean_loss
-    std_loss = history.std_loss
-    mean_lr = history.mean_lr
-    for epoch in range(history.epochs):
-        lines.append(
-            f"{epoch},{_fmt(mean_loss[epoch])},{_fmt(std_loss[epoch])},{_fmt(mean_lr[epoch])}"
-        )
+    lines += [",".join([str(epoch), *map(_fmt, row)]) for epoch, row in enumerate(rows)]
     history_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     curve_path = out / "allocation_curve.csv"
-    lines = ["x,phi1_mean,phi1_std,phi2_mean,phi2_std"]
-    for i in range(report.curve_x.size):
-        lines.append(
-            f"{_fmt(report.curve_x[i])},{_fmt(report.curve_phi1_mean[i])},"
-            f"{_fmt(report.curve_phi1_std[i])},{_fmt(report.curve_phi2_mean[i])},"
-            f"{_fmt(report.curve_phi2_std[i])}"
-        )
+    columns = _curve_columns(report)
+    lines = [",".join(columns)]
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
     curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     return [report_path, history_path, curve_path]
@@ -486,11 +448,7 @@ def run_oracle(spec: ExperimentSpec) -> Path:
     """Brute-force solve on the experiment's training sample; write oracle.json."""
     if spec.oracle_segments is None or spec.oracle_levels is None:
         raise ConfigError("oracle settings missing: set oracle_segments and oracle_levels")
-    samples = draw(spec.distribution, spec.train.n_samples, RngSeed(spec.train.base_seed, 0))
-    result = brute_force_infconv(
-        spec.rho1, spec.rho2, empirical(samples),
-        segments=spec.oracle_segments, levels=spec.oracle_levels,
-    )
+    result = _solve_oracle(spec, _training_sample(spec))
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

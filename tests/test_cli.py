@@ -211,6 +211,20 @@ def test_run_command_writes_stable_files(tmp_path, capsys):
         assert first[name].endswith(b"\n")
 
     report = json.loads(first["report.json"])
+    assert list(report) == [
+        "name", "version", "config",
+        "final_loss_mean", "final_loss_std", "ensemble_final_loss",
+        "eval_loss_mean", "eval_loss_std", "ensemble_eval_loss",
+        "analytic_infimum", "relative_error", "relative_error_std", "l2_allocation_error",
+        "oracle_value", "oracle_slopes", "oracle_evaluations", "allocation_curve",
+    ]
+    assert list(report["config"]) == [
+        "name", "distribution", "rho1", "rho2", "profile", "seed",
+        "n_samples", "batch_size", "epochs", "learning_rate", "ensemble_size",
+        "hidden_widths", "activation", "patience", "threshold", "factor", "min_lr",
+        "out_dir",
+    ]
+    assert list(report["allocation_curve"]) == ["x", "phi1_mean", "phi1_std", "phi2_mean", "phi2_std"]
     assert report["name"] == "tiny"
     assert report["version"].startswith("infconv-")
     assert report["config"]["activation"] == "relu"

@@ -4,7 +4,8 @@ Specs nest up to the depth cap of 4 and include spectral densities.  The
 reference for every evaluation is the per-family evaluators
 (``eval_entropic``, ``eval_es``, ``eval_spectral``) applied to a flattening
 written here, independent of the package's own walk over spec types.
-Networks have random widths, activations and parameters.
+Networks have random widths, activations and parameters.  Experiment
+configs set a random subset of the training keys under either profile.
 """
 
 import json
@@ -37,6 +38,7 @@ from infconv import (
     render_risk_spec,
     value_and_grad,
 )
+from infconv.cli import parse_experiment, render_experiment
 from infconv.measures import leaves, sorted_risk
 from infconv.oracle import GridAllocation, build_knots, oracle_objective
 
@@ -251,3 +253,57 @@ def test_forward_is_blocked_in_aligned_1024_row_slices(net, k, r, seed):
     assert forward(net, xs).tobytes() == out.tobytes()
     values, _ = value_and_grad(net, xs)
     assert np.allclose(out, values, rtol=1e-12, atol=1e-12)
+
+
+CONFIG_PAIRS = (
+    ("entropic(beta=2.0)", "entropic(beta=3.0)"),
+    ("es(alpha=0.9)", "entropic(beta=0.3)"),
+    ("distortion(0.5*es(0.8)+0.5*es(0.7))", "es(alpha=0.9)"),
+)
+TRAIN_VALUES = {
+    "epochs": st.integers(0, 10**4),
+    "learning_rate": st.floats(1e-12, 10.0),
+    "ensemble_size": st.integers(1, 10),
+    "hidden_widths": st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple),
+    "activation": st.sampled_from(ACTIVATIONS),
+    "patience": st.integers(0, 10**4),
+    "threshold": st.floats(0.0, 1.0),
+    "factor": st.floats(0.0, 1.0),
+    "min_lr": st.floats(0.0, 1e-3),
+}
+
+
+@st.composite
+def train_settings(draw):
+    """A random subset of the training keys with valid values."""
+    chosen = {}
+    if draw(st.booleans()):  # TrainConfig needs batch_size <= n_samples
+        chosen["n_samples"] = draw(st.integers(2, 10**6))
+        chosen["batch_size"] = draw(st.integers(1, chosen["n_samples"]))
+    for key, values in TRAIN_VALUES.items():
+        if draw(st.booleans()):
+            chosen[key] = draw(values)
+    return chosen
+
+
+def _config_value(value) -> str:
+    """Config text for a value: widths with spaces, activations upper-cased."""
+    if isinstance(value, tuple):
+        return ", ".join(str(w) for w in value)
+    return value.upper() if isinstance(value, str) else repr(value)
+
+
+@given(st.sampled_from(["desk", "paper"]), st.sampled_from(CONFIG_PAIRS), train_settings(),
+       st.none() | st.integers(0, 2**64 - 1))
+def test_experiment_render_is_a_parse_fixed_point(profile, pair, settings, seed):
+    lines = ["name = prop", "distribution = uniform(-1.0, 1.0)",
+             f"rho1 = {pair[0]}", f"rho2 = {pair[1]}", f"profile = {profile}"]
+    if seed is not None:
+        lines.append(f"seed = {seed}")
+    lines += [f"{key} = {_config_value(value)}" for key, value in settings.items()]
+    spec = parse_experiment("\n".join(lines))
+    for key, value in settings.items():
+        assert getattr(spec.train, key) == value
+    text = render_experiment(spec)
+    assert parse_experiment(text) == spec
+    assert render_experiment(parse_experiment(text)) == text
