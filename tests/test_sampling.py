@@ -79,6 +79,22 @@ def test_negbeta_draw_statistics():
     assert abs(xs.mean() + 2.0 / 7.0) < 0.01
 
 
+@pytest.mark.parametrize("lo, hi", [(-10.0, -9.0), (9.0, 10.0)])
+def test_far_tail_truncnormal_draws(lo, hi):
+    # the interval holds about 1e-19 of the normal's mass: drawn by inverse
+    # CDF, not by rejecting normals
+    xs = draw(TruncNormal(0.0, 1.0, lo, hi), 200_000, RngSeed(3, 0))
+    assert np.all(xs >= lo) and np.all(xs <= hi)
+    assert abs(xs.mean() - truncnorm.mean(lo, hi)) < 1e-3
+
+
+@pytest.mark.parametrize("lo, hi", [(37.5, 38.5), (40.0, 41.0), (-41.0, -40.0)])
+def test_truncnormal_rejects_intervals_float64_cannot_carry(lo, hi):
+    with pytest.raises(ValueError, match="too small for float64") as info:
+        TruncNormal(0.0, 1.0, lo, hi)
+    assert len(str(info.value)) < 80
+
+
 def test_support_bounds():
     assert support(Uniform(-1.0, 1.0)) == (-1.0, 1.0)
     assert support(TruncNormal(0.0, 1.0, -3.0, 3.0)) == (-3.0, 3.0)
@@ -118,7 +134,7 @@ def test_pdf_matches_quantile_inverse():
     assert np.allclose(dq, 1.0 / pdf(dist, quantile(dist, us)), rtol=1e-4)
 
 
-@pytest.mark.parametrize("lo, hi", [(9.0, 10.0), (30.0, 31.0)])
+@pytest.mark.parametrize("lo, hi", [(9.0, 10.0), (30.0, 31.0), (36.0, 37.0)])
 def test_far_upper_tail_truncnormal_matches_scipy(lo, hi):
     # ndtr(lo) and ndtr(hi) both round to 1.0 here: the interval's mass and
     # quantiles must come from the mirrored lower tail
