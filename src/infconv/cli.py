@@ -98,9 +98,16 @@ _TRAIN_CODECS = {
     f.name: _CODECS[type(f.default)] for f in fields(TrainConfig) if f.name != "base_seed"
 }
 _KEYS = (
-    "name", "distribution", "rho1", "rho2", "profile", "seed",
+    "name",
+    "distribution",
+    "rho1",
+    "rho2",
+    "profile",
+    "seed",
     *_TRAIN_CODECS,
-    "oracle_segments", "oracle_levels", "out_dir",
+    "oracle_segments",
+    "oracle_levels",
+    "out_dir",
 )
 
 
