@@ -94,6 +94,7 @@ class TrainConfig:
             raise ValueError("hidden widths must be positive")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        init_plateau(self.patience, self.threshold, self.factor, self.min_lr)
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
     @property
@@ -371,17 +372,8 @@ def metric_d(f, g, terms: int = _METRIC_TERMS, points_per_unit: int = _METRIC_PO
     is truncated after ``terms`` windows, cutting off a tail of at most
     2**-terms.  Sups are approximated on a uniform grid.
     """
-    if terms < 1:
-        raise ValueError("need at least one window term")
-    f = _first_map(f)
-    g = _first_map(g)
     grid = np.linspace(-terms, terms, 2 * terms * points_per_unit + 1)
-    diff = np.abs(np.asarray(f(grid), dtype=np.float64) - np.asarray(g(grid), dtype=np.float64))
-    total = 0.0
-    for h in range(1, terms + 1):
-        sup = float(diff[np.abs(grid) <= h].max())
-        total += 0.5**h * min(1.0, sup)
-    return total
+    return metric_d_mu(f, g, grid, terms)
 
 
 def metric_d_mu(f, g, m: EmpiricalMeasure, terms: int = _METRIC_TERMS) -> float:

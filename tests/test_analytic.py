@@ -1,7 +1,12 @@
 """Quadrature references and closed-form pooled risk values."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import special
 
 from infconv import (
     CornerAllocation,
@@ -52,6 +57,57 @@ def test_entropic_risk_approaches_negative_mean():
     # large beta: the certainty equivalent tends to E[-X]
     assert abs(entropic_risk(U, 1e3)) < 1e-3
     assert abs(entropic_risk(NB, 1e3) - 2.0 / 7.0) < 1e-3
+
+
+@given(
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(0.1, 10.0),
+    position=st.floats(0.0, 1.0),
+)
+def test_entropic_risk_matches_uniform_closed_form(lo, width, position):
+    # beta spans [1e-4 * width, 1e3] on a log scale.  The error is taken
+    # relative to the larger of the value and the width, because the value
+    # crosses zero and beta * log amplifies rounding by beta there.
+    hi = lo + width
+    beta = float(np.exp(np.log(1e-4 * width) + position * np.log(1e3 / (1e-4 * width))))
+    closed = -lo + beta * np.log(beta * (-np.expm1(-(hi - lo) / beta)) / (hi - lo))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entropic_risk(Uniform(lo, hi), beta)
+    assert abs(got - closed) <= 1e-11 * max(abs(closed), hi - lo)
+
+
+@given(lo=st.floats(-10.0, 10.0), width=st.floats(0.1, 10.0), alpha=st.floats(0.001, 0.999))
+def test_expected_shortfall_matches_uniform_closed_form(lo, width, alpha):
+    hi = lo + width
+    assert abs(expected_shortfall_risk(Uniform(lo, hi), alpha) + (lo + alpha * (hi - lo) / 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("dist", [NB, NegBeta(0.5, 5.0)])
+@pytest.mark.parametrize("beta", [5.0, 0.05, 0.005])
+def test_entropic_risk_matches_negbeta_closed_form(dist, beta):
+    # E[exp(B/beta)] for B ~ Beta(a, b) is the confluent hypergeometric
+    # 1F1(a; a + b; 1/beta); NegBeta(0.5, 5) has an infinite density at 0
+    closed = beta * np.log(special.hyp1f1(dist.a, dist.a + dist.b, 1.0 / beta))
+    assert abs(entropic_risk(dist, beta) - closed) <= 1e-12
+
+
+def test_entropic_risk_small_beta_is_finite():
+    # the exponential boundary layer at the lower support end is 1000 and 1200
+    # times narrower than the support
+    assert np.isfinite(entropic_risk(U, 0.002))
+    assert np.isfinite(entropic_risk(TN, 0.005))
+
+
+def test_quadrature_past_its_reach_raises():
+    # endpoint singularities whose digits the density cannot carry near -1
+    with pytest.raises(ValueError, match="did not converge"):
+        entropic_risk(NegBeta(0.5, 0.7), 0.005)
+    # boundary layers thinner than every node's offset from the end
+    with pytest.raises(ValueError):
+        entropic_risk(U, 1e-290)
+    with pytest.raises(ValueError, match="too small"):
+        entropic_risk(Uniform(0.0, 1.0), 1e-300)
 
 
 def test_expected_shortfall_reference_values():

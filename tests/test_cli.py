@@ -1,11 +1,16 @@
 """Config parsing, experiment orchestration, result files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infconv
 from infconv import (
     Entropic,
     NegBeta,
@@ -301,6 +306,46 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "line", ["patience = -1", "factor = 1.5", "threshold = -1.0", "min_lr = -1.0"]
+)
+def test_run_bad_plateau_setting_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "plateau.cfg"
+    cfg.write_text(MINIMAL + line + "\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_small_beta_entropic_pair(tmp_path, capsys):
+    # entropic(0.001) twice pools to beta = 0.002, whose exponential layer at
+    # the lower support end is 1000 times narrower than the support
+    cfg = tmp_path / "small_beta.cfg"
+    cfg.write_text(
+        TINY_RUN.replace("beta=2.0", "beta=0.001").replace("beta=3.0", "beta=0.001")
+        .replace("epochs = 3", "epochs = 1").replace("ensemble_size = 2", "ensemble_size = 1"),
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    beta = 0.002
+    closed = 1.0 + beta * np.log(beta * -np.expm1(-2.0 / beta) / 2.0)
+    assert report["analytic_infimum"] == pytest.approx(closed, rel=1e-8)
+
+
+def test_python_m_infconv_runs_without_warnings():
+    src = str(Path(infconv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "infconv", "--version"],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("infconv-")
+    assert done.stderr == ""
 
 
 # --------------------------------------------------------------------- oracle

@@ -268,7 +268,7 @@ TRAIN_VALUES = {
     "activation": st.sampled_from(ACTIVATIONS),
     "patience": st.integers(0, 10**4),
     "threshold": st.floats(0.0, 1.0),
-    "factor": st.floats(0.0, 1.0),
+    "factor": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "min_lr": st.floats(0.0, 1e-3),
 }
 
