@@ -354,9 +354,17 @@ def _member_firsts(members, xs: np.ndarray) -> np.ndarray:
 def run_experiment(spec: ExperimentSpec):
     """Draw data, train the ensemble, evaluate all metrics.
 
-    Returns (report, history); writing files is a separate step.
+    Returns (report, history); writing files is a separate step.  The
+    closed-form reference and the oracle come first: both are cheap, so a
+    config they reject fails before any training.
     """
     samples = _training_sample(spec)
+    try:
+        analytic = analytic_infconv(spec.rho1, spec.rho2, spec.distribution)
+    except ValueError as exc:
+        raise ConfigError(f"closed-form reference failed: {exc}") from exc
+    oracle = None if spec.oracle_segments is None else _solve_oracle(spec, samples)
+
     result = train_ensemble(samples, spec.rho1, spec.rho2, spec.train)
     members = result.allocation.members
 
@@ -370,7 +378,6 @@ def run_experiment(spec: ExperimentSpec):
     eval_xs = stratified_sample(spec.distribution, _EVAL_POINTS)
     eval_losses, ensemble_eval = losses(eval_xs)
 
-    analytic = analytic_infconv(spec.rho1, spec.rho2, spec.distribution)
     relative_error = relative_error_std = None
     if analytic is not None:
         rel = np.abs(eval_losses - analytic) / abs(analytic)
@@ -382,13 +389,6 @@ def run_experiment(spec: ExperimentSpec):
     if isinstance(descriptor, (ProportionalAllocation, CornerAllocation)):
         l2_xs = stratified_sample(spec.distribution, _L2_POINTS)
         l2 = l2_error(result.allocation, descriptor, l2_xs)
-
-    oracle_value = oracle_slopes = oracle_evaluations = None
-    if spec.oracle_segments is not None:
-        oracle = _solve_oracle(spec, samples)
-        oracle_value = oracle.value
-        oracle_slopes = [float(s) for s in oracle.slopes]
-        oracle_evaluations = oracle.evaluations
 
     lo, hi = support(spec.distribution)
     grid = np.linspace(lo, hi, _CURVE_POINTS)
@@ -409,9 +409,9 @@ def run_experiment(spec: ExperimentSpec):
         relative_error=relative_error,
         relative_error_std=relative_error_std,
         l2_allocation_error=l2,
-        oracle_value=oracle_value,
-        oracle_slopes=oracle_slopes,
-        oracle_evaluations=oracle_evaluations,
+        oracle_value=None if oracle is None else oracle.value,
+        oracle_slopes=None if oracle is None else [float(s) for s in oracle.slopes],
+        oracle_evaluations=None if oracle is None else oracle.evaluations,
         curve_x=grid,
         curve_phi1_mean=firsts.mean(axis=0),
         curve_phi1_std=firsts.std(axis=0),

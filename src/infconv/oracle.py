@@ -7,9 +7,14 @@ on the empirical sample, and returns the best candidate.  A strict-improvement
 coordinate descent can then polish the slopes off the level grid.
 
 Monotonicity does the heavy lifting: every candidate and its complement are
-non-decreasing maps of a sorted sample, so transformed samples stay sorted and
-a whole chunk of candidates is one call of the risk kernel
-(``measures.sorted_risk``) on the columns of one matrix product.
+non-decreasing maps of a sorted sample, so each measure weighs the sample in
+its own order, and on segment s a candidate is its knot value plus its slope
+times the offset from the knot.  The risk kernel's compiled form
+(``measures._compile``) splits each measure into order weights, whose pooled
+term is linear in the slopes, and entropic leaves, whose log-mean-exp is a
+sum over segments of per-segment sums tabulated once per slope value.  A
+candidate therefore costs O(segments) work, not O(samples), and no solve
+builds a samples-by-candidates matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, RiskMeasure, sorted_risk
+from .measures import EmpiricalMeasure, RiskMeasure, _compile
 
 __all__ = [
     "BudgetError",
@@ -147,12 +152,103 @@ def overlap_matrix(sorted_samples: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return np.sign(xs)[:, None] * ov
 
 
-def _objective_batch(
-    spec1: RiskMeasure, spec2: RiskMeasure, m: EmpiricalMeasure, c: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    v1 = c @ thetas.T
-    v2 = m.samples[:, None] - v1
-    return sorted_risk(spec1, v1) + sorted_risk(spec2, v2)
+def _log_segment_sums(d: np.ndarray, bounds: np.ndarray, slopes: np.ndarray, beta: float) -> np.ndarray:
+    """(segments, slopes) table of log sum_i exp(-slope * d_i / beta) over
+    each segment's samples.
+
+    Segment s holds d[bounds[s]:bounds[s+1]], ascending.  Shifting by its
+    first (smallest) offset keeps every exponent at or below zero, so small
+    beta and negative offsets stay finite; an empty segment gives -inf.
+    """
+    out = np.full((bounds.size - 1, slopes.size), -np.inf)
+    for s in range(bounds.size - 1):
+        ds = d[bounds[s] : bounds[s + 1]]
+        if ds.size:
+            e = np.exp(np.outer(slopes, ds[0] - ds) / beta)
+            out[s] = np.log(e.sum(axis=1)) - slopes * (ds[0] / beta)
+    return out
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, one row at a time, so a column's sum does not depend
+    on how many columns share the call."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+class _Scorer:
+    """Pooled objective of candidates given as digit columns into ``slope_values``.
+
+    On the sample a candidate is Y_i = V_s + theta_s * d_i, where s is the
+    segment of sample i, d_i its offset from the segment's left knot k_s and
+    V_s the candidate's value at k_s; the complement is
+    (k_s - V_s) + (1 - theta_s) * d_i.  The linear leaves are linear in
+    theta, so both agents' order weights fold into one gain per segment.
+    An entropic leaf's log-mean-exp splits into one log-sum per segment,
+    tabulated once for every slope value.  A candidate then costs
+    O(segments), not O(samples).
+    """
+
+    def __init__(self, spec1: RiskMeasure, spec2: RiskMeasure, m: EmpiricalMeasure,
+                 knots: np.ndarray, slope_values: np.ndarray):
+        xs = m.samples
+        n = xs.size
+        self.slope_values = slope_values
+        self.left = knots[:-1]
+        self.widths = np.diff(knots)
+        # the segment holding 0, where the candidate's value is theta * x
+        self.zero = int(np.clip(np.searchsorted(knots, 0.0, side="right") - 1, 0, self.left.size - 1))
+        bounds = np.searchsorted(xs, self.left)
+        bounds[0] = 0
+        bounds = np.append(bounds, n)
+        d = xs - np.repeat(self.left, np.diff(bounds))
+
+        lin1, ent1 = _compile(spec1, n)
+        lin2, ent2 = _compile(spec2, n)
+        c = overlap_matrix(xs, knots)
+        self.offset = 0.0
+        self.gain = np.zeros(self.left.size)
+        if lin1 is not None:
+            self.gain -= lin1 @ c
+        if lin2 is not None:
+            self.offset = -float(lin2 @ xs)
+            self.gain += lin2 @ c
+        self.entropic1 = [
+            (w, beta, _log_segment_sums(d, bounds, slope_values, beta)) for w, beta in ent1
+        ]
+        self.entropic2 = [
+            (w, beta, _log_segment_sums(d, bounds, 1.0 - slope_values, beta)) for w, beta in ent2
+        ]
+        self.log_n = np.log(n)
+
+    def knot_values(self, thetas: np.ndarray) -> np.ndarray:
+        """(segments, k) values at the left knots, summed outward from the
+        segment holding 0; equals overlap_matrix(knots[:-1], knots) @ thetas."""
+        z = self.zero
+        steps = thetas * self.widths[:, None]
+        v = np.empty(thetas.shape)
+        v[z] = thetas[z] * self.left[z]
+        v[z + 1 :] = v[z] + np.cumsum(steps[z:-1], axis=0)
+        v[:z] = v[z] - np.cumsum(steps[:z][::-1], axis=0)[::-1]
+        return v
+
+    def __call__(self, digits: np.ndarray) -> np.ndarray:
+        """Objective of each column of a (segments, k) array of digits."""
+        thetas = self.slope_values[digits]
+        total = self.offset + _sum_rows(thetas * self.gain[:, None])
+        if self.entropic1 or self.entropic2:
+            v1 = self.knot_values(thetas)
+            v2 = self.left[:, None] - v1
+            segs = np.arange(digits.shape[0])[:, None]
+            for v, entropic in ((v1, self.entropic1), (v2, self.entropic2)):
+                for w, beta, log_sums in entropic:
+                    a = log_sums[segs, digits] - v / beta
+                    top = a.max(axis=0)
+                    lse = top + np.log(_sum_rows(np.exp(a - top)))
+                    total += w * beta * (lse - self.log_n)
+        return total
 
 
 def oracle_objective(
@@ -163,9 +259,14 @@ def oracle_objective(
     slopes: np.ndarray,
 ) -> float:
     """Pooled objective of one piecewise-linear candidate on the sample."""
-    c = overlap_matrix(m.samples, knots)
-    theta = np.asarray(slopes, dtype=np.float64)[None, :]
-    return float(_objective_batch(spec1, spec2, m, c, theta)[0])
+    knots = np.asarray(knots, dtype=np.float64)
+    slopes = np.asarray(slopes, dtype=np.float64)
+    if knots.size < 2:
+        raise ValueError("need at least two knots")
+    if slopes.shape != (knots.size - 1,):
+        raise ValueError(f"need {knots.size - 1} slopes for {knots.size} knots")
+    score = _Scorer(spec1, spec2, m, knots, slopes)
+    return float(score(np.arange(knots.size - 1)[:, None])[0])
 
 
 def brute_force_infconv(
@@ -181,8 +282,9 @@ def brute_force_infconv(
 
     Each segment slope ranges over {0, 1/levels, ..., 1}, i.e. levels+1 grid
     values; the candidate count (levels+1)**segments must stay within
-    ``budget``.  Candidates are visited in lexicographic slope order and ties
-    keep the first (lexicographically smallest) vector.  Pass explicit
+    ``budget``.  Candidates are visited in lexicographic slope order and exact
+    ties keep the last (lexicographically largest) vector, so a segment that
+    neither measure weighs stays with the first agent.  Pass explicit
     ``knots`` to pin the candidate family, e.g. to compare two samples over
     the same family.
     """
@@ -202,25 +304,24 @@ def brute_force_infconv(
             f"budget of {budget}; use coordinate_descent_refine from a coarse start"
         )
 
-    c = overlap_matrix(m.samples, knots)
     grid = np.linspace(0.0, 1.0, levels + 1)
+    score = _Scorer(spec1, spec2, m, knots, grid)
     shape = (levels + 1,) * n_seg
     best_value = np.inf
-    best_theta: np.ndarray | None = None
+    best_digits: np.ndarray | None = None
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total))
-        digits = np.stack(np.unravel_index(flat, shape), axis=1)
-        thetas = grid[digits]
-        values = _objective_batch(spec1, spec2, m, c, thetas)
-        k = int(np.argmin(values))
-        if values[k] < best_value:
+        digits = np.stack(np.unravel_index(flat, shape))
+        values = score(digits)
+        k = values.size - 1 - int(np.argmin(values[::-1]))
+        if values[k] <= best_value:
             best_value = float(values[k])
-            best_theta = thetas[k]
-    assert best_theta is not None
+            best_digits = digits[:, k]
+    assert best_digits is not None
 
     return OracleResult(
         value=best_value,
-        slopes=np.asarray(best_theta, dtype=np.float64),
+        slopes=grid[best_digits],
         knots=knots,
         evaluations=total,
         levels=levels,
@@ -249,26 +350,28 @@ def coordinate_descent_refine(
     knots = start.knots
     if knots.size < 2:
         raise ValueError("need at least two distinct knots")
-    theta = start.slopes.copy()
-    c = overlap_matrix(m.samples, knots)
+    # digits 0..levels pick the level grid, levels+1+j the start's slope j
     grid = np.linspace(0.0, 1.0, levels + 1)
+    slope_values = np.concatenate([grid, start.slopes])
+    score = _Scorer(spec1, spec2, m, knots, slope_values)
+    digits = np.arange(start.slopes.size) + grid.size
 
-    current = float(_objective_batch(spec1, spec2, m, c, theta[None, :])[0])
+    current = float(score(digits[:, None])[0])
     evaluations = 1
     for _ in range(sweeps):
         changed = False
-        for j in range(theta.size):
-            trials = np.tile(theta, (grid.size, 1))
-            trials[:, j] = grid
-            values = _objective_batch(spec1, spec2, m, c, trials)
+        for j in range(digits.size):
+            trials = np.repeat(digits[:, None], grid.size, axis=1)
+            trials[j] = np.arange(grid.size)
+            trial_values = score(trials)
             evaluations += grid.size
-            k = int(np.argmin(values))
-            if values[k] < current:
-                theta = trials[k]
-                current = float(values[k])
+            k = int(np.argmin(trial_values))
+            if trial_values[k] < current:
+                digits = trials[:, k]
+                current = float(trial_values[k])
                 changed = True
         if not changed:
             break
     return OracleResult(
-        value=current, slopes=theta, knots=knots, evaluations=evaluations, levels=levels
+        value=current, slopes=slope_values[digits], knots=knots, evaluations=evaluations, levels=levels
     )

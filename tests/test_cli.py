@@ -16,7 +16,7 @@ from infconv import (
     NegBeta,
     Uniform,
 )
-from infconv import sharing
+from infconv import cli, sharing
 from infconv.cli import (
     ConfigError,
     compare_reports,
@@ -334,6 +334,45 @@ def test_run_small_beta_entropic_pair(tmp_path, capsys):
     beta = 0.002
     closed = 1.0 + beta * np.log(beta * -np.expm1(-2.0 / beta) / 2.0)
     assert report["analytic_infimum"] == pytest.approx(closed, rel=1e-8)
+
+
+def _training_forbidden(*args, **kwargs):
+    raise AssertionError("train_ensemble was called")
+
+
+def test_run_unresolvable_reference_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    # the pooled beta of 0.005 is past the quadrature's reach next to the
+    # infinite density of negbeta(0.5, 0.7) at -1
+    monkeypatch.setattr(cli, "train_ensemble", _training_forbidden)
+    cfg = tmp_path / "sharp.cfg"
+    cfg.write_text(
+        "name = sharp\n"
+        "distribution = negbeta(0.5, 0.7)\n"
+        "rho1 = entropic(beta=0.0025)\n"
+        "rho2 = entropic(beta=0.0025)\n"
+        "n_samples = 400\nbatch_size = 50\nepochs = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_over_budget_oracle_exits_4_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_ensemble", _training_forbidden)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        MINIMAL + "n_samples = 200\nbatch_size = 50\n"
+        "oracle_segments = 40\noracle_levels = 8\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 4
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_python_m_infconv_runs_without_warnings():

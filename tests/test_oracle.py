@@ -1,6 +1,7 @@
 """Grid oracle: knot building, candidate evaluation, enumeration, refinement."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,19 @@ def test_brute_force_respects_explicit_knots():
     got = brute_force_infconv(Entropic(2.0), Entropic(3.0), m, levels=2, knots=knots)
     assert np.array_equal(got.knots, knots)
     assert got.evaluations == 3 ** (knots.size - 1)
+
+
+def test_brute_force_memory_does_not_grow_with_samples_times_chunk():
+    # scoring a chunk through (samples, chunk) matrices peaks at about 188 MiB here
+    m = empirical(draw(Uniform(-1.0, 1.0), 2000, RngSeed(1, 0)))
+    tracemalloc.start()
+    try:
+        got = brute_force_infconv(Entropic(2.0), Entropic(3.0), m, segments=6, levels=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.evaluations == 5**7
+    assert peak < 16 * 2**20
 
 
 def test_brute_force_budget_error_suggests_refinement():

@@ -8,6 +8,7 @@ Networks have random widths, activations and parameters.  Experiment
 configs set a random subset of the training keys under either profile.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -40,7 +41,7 @@ from infconv import (
 )
 from infconv.cli import parse_experiment, render_experiment
 from infconv.measures import leaves, sorted_risk
-from infconv.oracle import GridAllocation, build_knots, oracle_objective
+from infconv.oracle import GridAllocation, brute_force_infconv, build_knots, oracle_objective
 
 MAX_DEPTH = 4
 
@@ -68,13 +69,13 @@ def spectral_densities(draw):
 
 
 @st.composite
-def specs(draw, spectral=True, depth=1):
+def specs(draw, spectral=True, depth=1, betas=tolerances):
     kinds = ["entropic", "es", "distortion"] + (["spectral"] if spectral else [])
     if depth < MAX_DEPTH:
         kinds.append("mix")
     kind = draw(st.sampled_from(kinds))
     if kind == "entropic":
-        return Entropic(draw(tolerances))
+        return Entropic(draw(betas))
     if kind == "es":
         return ExpectedShortfall(draw(levels))
     if kind == "distortion":
@@ -83,7 +84,7 @@ def specs(draw, spectral=True, depth=1):
     if kind == "spectral":
         return draw(spectral_densities())
     ws = _normalized(draw(st.lists(raw_weights, min_size=1, max_size=3)))
-    return Combination(tuple((w, draw(specs(spectral, depth + 1))) for w in ws))
+    return Combination(tuple((w, draw(specs(spectral, depth + 1, betas))) for w in ws))
 
 
 samples = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40).map(np.array)
@@ -154,6 +155,40 @@ def test_oracle_objective_matches_evaluate_on_candidate_and_complement(spec1, sp
         spec2, empirical(candidate.complement(m.samples))
     )
     assert _close(oracle_objective(spec1, spec2, m, knots, slopes), want, 1e-9)
+
+
+small_betas = st.floats(0.01, 5.0)
+inner_knots = st.lists(st.floats(-3.0, 3.0).filter(lambda k: k != 0.0), min_size=1, max_size=3)
+
+
+@given(
+    specs(betas=small_betas),
+    specs(betas=small_betas),
+    st.one_of(samples, st.lists(st.floats(0.01, 5.0), min_size=1, max_size=40).map(np.array)),
+    inner_knots,
+    st.integers(1, 3),
+)
+def test_brute_force_matches_naive_enumeration_of_sorted_risk(spec1, spec2, xs, inner, levels):
+    # knots inside [-3, 3] leave samples beyond the outer knots, and an
+    # all-positive sample leaves every segment left of 0 empty
+    m = empirical(xs)
+    knots = np.unique(np.array([0.0, *inner]))
+    grid = np.linspace(0.0, 1.0, levels + 1)
+    combos = [np.array(c) for c in itertools.product(grid, repeat=knots.size - 1)]
+    naive = []
+    for slopes in combos:
+        candidate = GridAllocation(knots=knots, slopes=slopes)
+        naive.append(
+            sorted_risk(spec1, np.sort(candidate(m.samples)))
+            + sorted_risk(spec2, np.sort(candidate.complement(m.samples)))
+        )
+    order = np.argsort(naive, kind="stable")
+    best = naive[order[0]]
+
+    got = brute_force_infconv(spec1, spec2, m, levels=levels, knots=knots)
+    assert _close(got.value, best, 1e-12)
+    if len(order) > 1 and naive[order[1]] - best > 1e-12 * max(1.0, abs(best)):
+        assert np.array_equal(got.slopes, combos[order[0]])
 
 
 @given(specs(), samples, st.floats(-5.0, 5.0))
