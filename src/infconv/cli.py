@@ -184,7 +184,12 @@ def _parse_with(entries: dict[str, tuple[str, int]], key: str, parser, default):
 
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse a flat key-value experiment config with line diagnostics."""
-    entries = _split_lines(text)
+    return _resolve(_split_lines(text))
+
+
+def _resolve(entries: dict[str, tuple[str, int]]) -> ExperimentSpec:
+    """The experiment that split config entries describe; errors cite each
+    entry's line."""
     for key in ("name", "distribution", "rho1", "rho2"):
         if key not in entries:
             raise ConfigError(f"missing required key {key!r}")
@@ -266,8 +271,7 @@ def load_experiment(
         entries["seed"] = (str(seed), 0)
     if out is not None:
         entries["out_dir"] = (out, 0)
-    rendered = "\n".join(f"{k} = {v}" for k, (v, _) in entries.items())
-    return parse_experiment(rendered)
+    return _resolve(entries)
 
 
 # ---------------------------------------------------------------------------

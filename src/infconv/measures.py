@@ -10,13 +10,18 @@ spec and sample size, sums the order-statistic weights of the linear leaves;
 ``sorted_risk`` then values (and differentiates) an ascending sample, or each
 column of a matrix of them, as that weighting plus one log-mean-exp per
 entropic leaf.
+
+``parse_risk_spec`` reads text such as ``mix(0.5*es(0.8)+0.5*entropic(2.0))``
+by walking Python's expression tree without evaluating it; distributions in
+``sampling`` are read by the same walk.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
-import re
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -429,123 +434,97 @@ def eval_with_grad(spec: RiskMeasure, m: EmpiricalMeasure) -> tuple[float, np.nd
 # Textual form
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]+)"
-    r"|(?P<sym>[()*+=,-]))"
-)
+
+def _expression(text: str) -> ast.expr:
+    """The syntax tree of ``text``, lowercased and stripped.  Python's parser
+    only builds the tree; nothing in it is evaluated."""
+    try:
+        return ast.parse(text.strip().lower(), mode="eval").body
+    except SyntaxError as exc:
+        bad = (exc.text or "")[(exc.offset or 1) - 1 :].strip()
+        raise ValueError(f"{exc.msg} at {reprlib.repr(bad)}") from exc
+    except (ValueError, RecursionError) as exc:  # null bytes; chains past the recursion limit
+        raise ValueError(f"cannot parse {reprlib.repr(text)}: {exc}") from exc
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot tokenize risk spec at {text[pos:]!r}")
-        pos = match.end()
-        for kind in ("num", "name", "sym"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value.lower() if kind == "name" else value))
-                break
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None) -> str:
-        tok_kind, tok_value = self.next()
-        if tok_kind != kind or (value is not None and tok_value != value):
-            want = value if value is not None else kind
-            raise ValueError(f"expected {want!r}, got {tok_value!r} in risk spec")
-        return tok_value
-
-
-def _parse_number(ts: _TokenStream) -> float:
+def _number(node: ast.expr) -> float:
+    """An int or float literal under any number of unary signs."""
     sign = 1.0
-    kind, value = ts.peek()
-    while kind == "sym" and value in "+-":
-        ts.next()
-        if value == "-":
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        if isinstance(node.op, ast.USub):
             sign = -sign
-        kind, value = ts.peek()
-    kind, value = ts.next()
-    if kind != "num":
-        raise ValueError(f"expected a number, got {value!r} in risk spec")
-    return sign * float(value)
+        node = node.operand
+    if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+        raise ValueError(f"expected a number, got {reprlib.repr(ast.unparse(node))}")
+    try:
+        return sign * float(node.value)
+    except OverflowError as exc:
+        raise ValueError(f"number out of range: {exc}") from exc
 
 
-def _parse_scalar_arg(ts: _TokenStream, keyword: str) -> float:
-    # accepts either "name(0.8)" or "name(keyword=0.8)"
-    kind, value = ts.peek()
-    if kind == "name":
-        ts.next()
-        if value != keyword:
-            raise ValueError(f"unknown argument {value!r}, expected {keyword!r}")
-        ts.expect("sym", "=")
-    return _parse_number(ts)
+def _call(node: ast.expr, names) -> ast.Call:
+    """A call on one of ``names``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names):
+        raise ValueError(f"expected one of {', '.join(names)}, got {reprlib.repr(ast.unparse(node))}")
+    return node
 
 
-def _parse_weighted_terms(ts: _TokenStream) -> list[tuple[float, RiskMeasure]]:
-    out: list[tuple[float, RiskMeasure]] = []
-    while True:
-        weight = _parse_number(ts)
-        ts.expect("sym", "*")
-        out.append((weight, _parse_spec(ts)))
-        kind, value = ts.peek()
-        if kind != "sym" or value != "+":
-            return out
-        ts.next()
+def _bind(call: ast.Call, cls):
+    """``cls`` built from a call's number arguments: each of its dataclass
+    fields given once, by position or by keyword."""
+    names = [f.name for f in fields(cls)]
+    if len(call.args) > len(names):
+        raise ValueError(f"{call.func.id}() takes {len(names)} arguments, got {len(call.args)}")
+    values = dict(zip(names, map(_number, call.args)))
+    for kw in call.keywords:
+        if kw.arg not in names or kw.arg in values:
+            raise ValueError(f"unexpected argument {kw.arg!r} to {call.func.id}()")
+        values[kw.arg] = _number(kw.value)
+    if len(values) < len(names):
+        raise ValueError(f"{call.func.id}() needs {', '.join(names)}")
+    return cls(**values)
 
 
-def _parse_spec(ts: _TokenStream) -> RiskMeasure:
-    kind, name = ts.next()
-    if kind != "name":
-        raise ValueError(f"expected a risk measure name, got {name!r}")
-    ts.expect("sym", "(")
-    if name == "entropic":
-        spec: RiskMeasure = Entropic(beta=_parse_scalar_arg(ts, "beta"))
-    elif name == "es":
-        spec = ExpectedShortfall(alpha=_parse_scalar_arg(ts, "alpha"))
-    elif name == "distortion":
-        comps = []
-        for weight, inner in _parse_weighted_terms(ts):
-            if not isinstance(inner, ExpectedShortfall):
-                raise ValueError("distortion components must be es(...) terms")
-            comps.append((weight, inner.alpha))
-        spec = Distortion(components=tuple(comps))
-    elif name == "mix":
-        spec = Combination(terms=tuple(_parse_weighted_terms(ts)))
-    else:
-        raise ValueError(f"unknown risk measure {name!r}")
-    ts.expect("sym", ")")
-    return spec
+def _weighted_terms(node: ast.expr) -> list[tuple[float, RiskMeasure]]:
+    """The (weight, spec) terms of a ``w*spec + w*spec + ...`` chain, in order."""
+    chain = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        chain.append(node.right)
+        node = node.left
+    chain.append(node)
+    terms = []
+    for term in reversed(chain):
+        if not (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)):
+            raise ValueError(f"expected a weighted term w*spec, got {reprlib.repr(ast.unparse(term))}")
+        terms.append((_number(term.left), _spec(term.right)))
+    return terms
+
+
+_LEAF_NAMES = {"entropic": Entropic, "es": ExpectedShortfall}
+
+
+def _spec(node: ast.expr) -> RiskMeasure:
+    call = _call(node, (*_LEAF_NAMES, "distortion", "mix"))
+    name = call.func.id
+    if name in _LEAF_NAMES:
+        return _bind(call, _LEAF_NAMES[name])
+    if len(call.args) != 1 or call.keywords:
+        raise ValueError(f"{name}() takes one w*spec + w*spec + ... chain")
+    terms = _weighted_terms(call.args[0])
+    if name == "mix":
+        return Combination(terms=tuple(terms))
+    if not all(isinstance(inner, ExpectedShortfall) for _, inner in terms):
+        raise ValueError("distortion components must be es(...) terms")
+    return Distortion(components=tuple((w, inner.alpha) for w, inner in terms))
 
 
 def parse_risk_spec(text: str) -> RiskMeasure:
     """Parse the canonical textual form, e.g. ``entropic(beta=2.0)``,
     ``es(alpha=0.8)``, ``distortion(0.5*es(0.8)+0.5*es(0.7))``,
     ``mix(0.99*es(0.8)+0.01*entropic(1.0))``.  Case-insensitive and
-    whitespace-tolerant."""
-    ts = _TokenStream(_tokenize(text))
-    spec = _parse_spec(ts)
-    ts.expect("end")
-    return spec
+    whitespace-tolerant; read as a Python expression whose tree may hold
+    only calls on these names, number literals and ``w*spec`` sums."""
+    return _spec(_expression(text))
 
 
 def render_risk_spec(spec: RiskMeasure) -> str:

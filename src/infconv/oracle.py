@@ -58,8 +58,9 @@ class GridAllocation:
     slopes: np.ndarray
 
     def __post_init__(self) -> None:
-        knots = np.asarray(self.knots, dtype=np.float64)
-        slopes = np.asarray(self.slopes, dtype=np.float64)
+        # copies, so freezing them below leaves the caller's arrays writable
+        knots = np.array(self.knots, dtype=np.float64)
+        slopes = np.array(self.slopes, dtype=np.float64)
         if knots.ndim != 1 or knots.size == 0:
             raise ValueError("knots must be a non-empty 1-d array")
         if not np.all(np.isfinite(knots)):
@@ -259,14 +260,11 @@ def oracle_objective(
     slopes: np.ndarray,
 ) -> float:
     """Pooled objective of one piecewise-linear candidate on the sample."""
-    knots = np.asarray(knots, dtype=np.float64)
-    slopes = np.asarray(slopes, dtype=np.float64)
-    if knots.size < 2:
+    if np.size(knots) < 2:
         raise ValueError("need at least two knots")
-    if slopes.shape != (knots.size - 1,):
-        raise ValueError(f"need {knots.size - 1} slopes for {knots.size} knots")
-    score = _Scorer(spec1, spec2, m, knots, slopes)
-    return float(score(np.arange(knots.size - 1)[:, None])[0])
+    candidate = GridAllocation(knots=knots, slopes=slopes)
+    score = _Scorer(spec1, spec2, m, candidate.knots, candidate.slopes)
+    return float(score(np.arange(candidate.slopes.size)[:, None])[0])
 
 
 def brute_force_infconv(
@@ -292,10 +290,10 @@ def brute_force_infconv(
         raise ValueError("need at least one slope step")
     if knots is None:
         knots = build_knots(m.samples, segments)
-    else:
-        knots = np.asarray(knots, dtype=np.float64)
-    if knots.size < 2:
+    if np.size(knots) < 2:
         raise ValueError("need at least two distinct knots")
+    # checked by GridAllocation's rules; any valid slope vector will do
+    knots = GridAllocation(knots=knots, slopes=np.zeros(np.size(knots) - 1)).knots
     n_seg = knots.size - 1
     total = (levels + 1) ** n_seg
     if total > budget:

@@ -4,17 +4,18 @@ Determinism contract: every draw is a pure function of (distribution, n,
 RngSeed).  Streams come from a counter-based Philox generator keyed by the
 128-bit pair (seed, stream), so ensemble members and data sets get
 independent, reproducible sources from one experiment seed.
+
+Distributions are written like ``uniform(-1, 1)``, in the risk specs' grammar.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _bind, _call, _expression
 
 __all__ = [
     "RngSeed",
@@ -218,28 +219,14 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float) -> float:
 # Textual form
 # ---------------------------------------------------------------------------
 
-_DIST_RE = re.compile(
-    r"^\s*(?P<name>[A-Za-z_]+)\s*\(\s*(?P<args>[^)]*)\)\s*$"
-)
+_DISTRIBUTIONS = {"uniform": Uniform, "truncnormal": TruncNormal, "negbeta": NegBeta}
 
 
 def parse_distribution(text: str) -> Distribution:
-    """Parse ``uniform(-1,1)``, ``truncnormal(0,1,-3,3)`` or ``negbeta(2,5)``."""
-    match = _DIST_RE.match(text)
-    if match is None:
-        raise ValueError(f"cannot parse distribution {text!r}")
-    name = match.group("name").lower()
-    try:
-        args = [float(part) for part in match.group("args").split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad distribution arguments in {text!r}") from exc
-    if name == "uniform" and len(args) == 2:
-        return Uniform(lo=args[0], hi=args[1])
-    if name == "truncnormal" and len(args) == 4:
-        return TruncNormal(mean=args[0], sd=args[1], lo=args[2], hi=args[3])
-    if name == "negbeta" and len(args) == 2:
-        return NegBeta(a=args[0], b=args[1])
-    raise ValueError(f"unknown distribution or wrong arity: {text!r}")
+    """Parse ``uniform(-1,1)``, ``truncnormal(0,1,-3,3)`` or ``negbeta(2,5)``;
+    each field is given once, by position or by keyword (``uniform(lo=-1, hi=1)``)."""
+    call = _call(_expression(text), _DISTRIBUTIONS)
+    return _bind(call, _DISTRIBUTIONS[call.func.id])
 
 
 def render_distribution(dist: Distribution) -> str:

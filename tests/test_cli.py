@@ -308,6 +308,28 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_commands_cite_the_config_file_line(tmp_path, capsys, command):
+    cfg = tmp_path / "commented.cfg"
+    cfg.write_text(
+        "# experiment\n\n" + MINIMAL.replace("\n", "\n\n", 2) + "epochs = ten\n",
+        encoding="utf-8",
+    )
+    assert cfg.read_text(encoding="utf-8").splitlines()[8] == "epochs = ten"
+    assert main([command, str(cfg), "--seed", "3"]) == 2
+    assert "line 9: field 'epochs'" in capsys.readouterr().err
+
+
+def test_run_deeply_nested_spec_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "deep.cfg"
+    deep = "mix(1*" * 1000 + "es(0.5)" + ")" * 1000
+    cfg.write_text(MINIMAL.replace("entropic(beta=2.0)", deep), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 3: field 'rho1'")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "line", ["patience = -1", "factor = 1.5", "threshold = -1.0", "min_lr = -1.0"]
 )

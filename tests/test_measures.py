@@ -355,3 +355,27 @@ def test_parse_rejects_malformed_specs():
     ):
         with pytest.raises(ValueError):
             parse_risk_spec(text)
+
+
+def test_parse_accepts_python_lexical_forms():
+    assert parse_risk_spec("es((0.8))") == ExpectedShortfall(0.8)
+    assert parse_risk_spec("entropic(beta=1_000.5,)") == Entropic(1000.5)
+    assert parse_risk_spec("es(--0.8)") == ExpectedShortfall(0.8)
+    got = parse_risk_spec("mix((0.25*entropic(2)) + 0.75*es(0.9),)")
+    assert got == Combination(((0.25, Entropic(2.0)), (0.75, ExpectedShortfall(0.9))))
+
+
+def test_parse_evaluates_nothing_and_bounds_nesting():
+    deep = "mix(1*" * 1000 + "es(0.5)" + ")" * 1000
+    for text in (
+        "es(10**10**10)",
+        "es(__import__('os'))",
+        "es(True)",
+        "es(0.8, alpha=0.8)",
+        "es(0.8, 0.9)",
+        "mix(0.5*es(0.8) - 0.5*es(0.7))",
+        "os.es(0.8)",
+        deep,
+    ):
+        with pytest.raises(ValueError):
+            parse_risk_spec(text)

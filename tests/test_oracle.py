@@ -272,6 +272,36 @@ def test_brute_force_validation():
         brute_force_infconv(Entropic(2.0), Entropic(3.0), m, knots=np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "knots, slopes, why",
+    [
+        ([-1.0, 0.0, 1.0], [2.0, -1.0], "slopes must lie in"),
+        ([0.5, 0.0, 1.0], [0.5, 0.5], "strictly increasing"),
+        ([0.0, np.nan, 1.0], [0.5, 0.5], "finite"),
+        ([0.25, 0.5, 1.0], [0.5, 0.5], "contain 0.0"),
+    ],
+)
+def test_oracle_inputs_are_checked_like_grid_allocation(knots, slopes, why):
+    m = empirical(np.linspace(-1.0, 1.0, 201))
+    spec1, spec2 = ExpectedShortfall(0.5), ExpectedShortfall(0.3)
+    knots, slopes = np.array(knots), np.array(slopes)
+    with pytest.raises(ValueError, match=why):
+        GridAllocation(knots, slopes)
+    with pytest.raises(ValueError, match=why):
+        oracle_objective(spec1, spec2, m, knots, slopes)
+    if why != "slopes must lie in":
+        with pytest.raises(ValueError, match=why):
+            brute_force_infconv(spec1, spec2, m, levels=2, knots=knots)
+
+
+def test_oracle_leaves_the_callers_arrays_writable():
+    m = empirical(_sample())
+    knots, slopes = np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.75])
+    oracle_objective(Entropic(2.0), Entropic(3.0), m, knots, slopes)
+    brute_force_infconv(Entropic(2.0), Entropic(3.0), m, levels=2, knots=knots)
+    assert knots.flags.writeable and slopes.flags.writeable
+
+
 # ---------------------------------------------------------- coordinate descent
 
 

@@ -21,8 +21,11 @@ from infconv import (
     Distortion,
     Entropic,
     ExpectedShortfall,
+    NegBeta,
     RngSeed,
     Spectral,
+    TruncNormal,
+    Uniform,
     empirical,
     es_spectral_density,
     eval_entropic,
@@ -35,7 +38,9 @@ from infconv import (
     mlp_from_json,
     mlp_to_json,
     param_count,
+    parse_distribution,
     parse_risk_spec,
+    render_distribution,
     render_risk_spec,
     value_and_grad,
 )
@@ -201,6 +206,32 @@ def test_cash_additivity(spec, xs, c):
 @given(specs(spectral=False))
 def test_parse_render_round_trip(spec):
     assert parse_risk_spec(render_risk_spec(spec)) == spec
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def distributions(draw):
+    kind = draw(st.sampled_from(["uniform", "truncnormal", "negbeta"]))
+    if kind == "negbeta":
+        return NegBeta(draw(positive), draw(positive))
+    if kind == "truncnormal":
+        # at most 5 sd from the mean, so the interval's mass stays far above
+        # what TruncNormal rejects
+        mean, sd = draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-3, 1e3))
+        lo = mean - sd * draw(st.floats(0.0, 5.0))
+        hi = mean + sd * draw(st.floats(0.01, 5.0))
+        return TruncNormal(mean, sd, lo, hi)
+    lo, hi = draw(finite), draw(finite)
+    assume(lo < hi)
+    return Uniform(lo, hi)
+
+
+@given(distributions())
+def test_distribution_render_parses_back(dist):
+    assert parse_distribution(render_distribution(dist)) == dist
 
 
 @given(specs())

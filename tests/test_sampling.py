@@ -222,3 +222,12 @@ def test_distribution_parse_flexible_and_invalid():
     for text in ("uniform(1, -1)", "normal(0, 1)", "uniform(0)", "negbeta(-2, 5)", ""):
         with pytest.raises(ValueError):
             parse_distribution(text)
+
+
+def test_distribution_arguments_follow_the_dataclass_fields():
+    assert parse_distribution("uniform(lo=-1, hi=1)") == Uniform(-1.0, 1.0)
+    assert parse_distribution("truncnormal(0, 1, hi=3, lo=-3)") == TruncNormal(0.0, 1.0, -3.0, 3.0)
+    assert parse_distribution("negbeta(2, 5,)") == NegBeta(2.0, 5.0)
+    for text in ("uniform(,-1,,1)", "uniform(-1, lo=1)", "uniform(-1, 1, 2)", "negbeta(a=2, c=5)"):
+        with pytest.raises(ValueError):
+            parse_distribution(text)
