@@ -6,6 +6,7 @@ import pytest
 from infconv import (
     Combination,
     Distortion,
+    EmpiricalMeasure,
     Entropic,
     ExpectedShortfall,
     Spectral,
@@ -314,6 +315,25 @@ def test_constructor_validation():
         Spectral(np.array([0.0, 1.0]), np.array([0.5, 1.5]))  # increasing density
     with pytest.raises(ValueError):
         Combination(((1.0, "nope"),))
+
+
+def test_measures_copy_the_callers_arrays_before_freezing():
+    grid, values = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    spectral = Spectral(grid=grid, values=values)
+    samples, order = np.array([-1.0, 2.0]), np.array([1, 0])
+    measure = EmpiricalMeasure(samples=samples, original_order=order)
+    for arr in (grid, values, samples, order):
+        assert arr.flags.writeable
+    for arr in (spectral.grid, spectral.values, measure.samples, measure.original_order):
+        assert not arr.flags.writeable
+    grid[1] = 0.5
+    samples[0] = 3.0
+    assert spectral.grid[1] == 1.0 and measure.samples[0] == -1.0
+    raw = np.array([2.0, -1.0])
+    sorted_measure = empirical(raw)
+    assert raw.flags.writeable
+    assert not (sorted_measure.samples.flags.writeable or sorted_measure.original_order.flags.writeable)
+    assert sorted_measure.original_order.dtype == np.int64
 
 
 def test_combination_nesting_capped():

@@ -1,8 +1,16 @@
 """Training loop, symmetrized loss, allocation metrics, stability check."""
 
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import infconv
 from infconv import (
     Combination,
     Distortion,
@@ -28,6 +36,7 @@ from infconv import (
     metric_d,
     metric_d_mu,
     pair_loss,
+    sharing,
     spectral_stability_check,
     train_ensemble,
     train_member,
@@ -305,6 +314,211 @@ def test_divergent_ensemble_lists_members():
         train_ensemble(xs, Entropic(1.0), Entropic(2.0), cfg)
     assert len(info.value.failures) == 2
     assert "member" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# concurrent members
+# ---------------------------------------------------------------------------
+
+# batch_size * max(hidden_widths) = 64,000, at or above the threshold from
+# which members train on concurrent threads.
+WIDE = TrainConfig(
+    n_samples=2000,
+    batch_size=1000,
+    epochs=2,
+    learning_rate=1e-3,
+    ensemble_size=3,
+    hidden_widths=(64, 64),
+    base_seed=4,
+)
+# In a fresh interpreter that counts 4 CPUs, so that 2 BLAS threads leave
+# room for 2 workers: prints the digest of every member of WIDE's ensemble,
+# then of the same members trained one by one.
+_DIGEST_SCRIPT = """
+import hashlib
+from infconv import Entropic, RngSeed, TrainConfig, Uniform, draw, sharing, train_ensemble, train_member
+sharing._usable_cpus = lambda: 4
+cfg = TrainConfig(**{config!r})
+xs = draw(Uniform(-1.0, 1.0), cfg.n_samples, RngSeed(cfg.base_seed, 0))
+members = train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg).allocation.members
+serial = [train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=k) for k in range(len(members))]
+for m in (*members, *serial):
+    parts = (m.phi1.params, m.phi2.params, m.losses, m.lrs)
+    print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+"""
+
+
+def _workers(monkeypatch, cpus, blas_threads=1):
+    monkeypatch.setattr(sharing, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sharing, "_blas_threads", lambda: blas_threads)
+
+
+def _assert_members_match_serial(cfg):
+    xs = tiny_samples(cfg)
+    result = train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg)
+    assert len(result.allocation.members) == cfg.ensemble_size
+    for k, got in enumerate(result.allocation.members):
+        want = train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=k)
+        for a, b in ((got.phi1.params, want.phi1.params), (got.phi2.params, want.phi2.params),
+                     (got.losses, want.losses), (got.lrs, want.lrs)):
+            assert a.tobytes() == b.tobytes()
+        assert result.history.member_losses[k].tobytes() == want.losses.tobytes()
+
+
+@pytest.mark.parametrize("size, hidden", [(3, (64, 64)), (5, (64, 64)), (3, (100, 100, 100))])
+def test_concurrent_members_match_serial_bytes(monkeypatch, size, hidden):
+    cfg = replace(WIDE, ensemble_size=size, hidden_widths=hidden)
+    assert cfg.batch_size * max(cfg.hidden_widths) >= sharing._PARALLEL_MIN_WORK
+    _workers(monkeypatch, cpus=2)
+    _assert_members_match_serial(cfg)
+
+
+def test_more_threads_than_cores_with_fast_switching(monkeypatch):
+    # four workers for five members, switching threads every microsecond
+    _workers(monkeypatch, cpus=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_members_match_serial(replace(WIDE, ensemble_size=5, epochs=1))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus, blas_threads, workers", [(2, 1, 2), (3, 1, 3), (8, 2, 4), (2, 2, 1)])
+def test_members_split_round_robin_over_threads(monkeypatch, cpus, blas_threads, workers):
+    _workers(monkeypatch, cpus, blas_threads)
+    cfg = replace(WIDE, ensemble_size=5, epochs=1)
+    trained_by = {}
+    original = sharing.train_member
+
+    def recording(*args, member, **kwargs):
+        trained_by[member] = threading.current_thread()
+        return original(*args, member=member, **kwargs)
+
+    monkeypatch.setattr(sharing, "train_member", recording)
+    train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    assert sorted(trained_by) == list(range(cfg.ensemble_size))
+    assert len(set(trained_by.values())) == workers
+    for k, thread in trained_by.items():
+        assert (thread is threading.main_thread()) == (k % workers == 0)
+        assert thread is trained_by[k % workers]
+
+
+def test_narrow_configs_train_in_the_calling_thread(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    _workers(monkeypatch, cpus=2)
+    monkeypatch.setattr(sharing.threading, "Thread", no_threads)
+    for cfg in (TINY, replace(TINY, batch_size=1000, hidden_widths=(8, 8))):
+        assert cfg.batch_size * max(cfg.hidden_widths) < sharing._PARALLEL_MIN_WORK
+        train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), replace(cfg, epochs=1))
+
+
+def test_blas_threads_follow_the_blas_variables(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sharing, "_usable_cpus", lambda: 6)
+    assert sharing._blas_threads() == 6
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")  # not read by OpenBLAS
+    assert sharing._blas_threads() == 6
+    monkeypatch.setenv("OMP_NUM_THREADS", "4,2")  # a nested list is not a count
+    assert sharing._blas_threads() == 6
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert sharing._blas_threads() == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    assert sharing._blas_threads() == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert sharing._blas_threads() == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_concurrent_divergence_lists_members_in_order(monkeypatch):
+    _workers(monkeypatch, cpus=2)
+    cfg = replace(WIDE, learning_rate=1e300, ensemble_size=5)
+    with pytest.raises(EnsembleError) as info:
+        train_ensemble(tiny_samples(cfg), Entropic(1.0), Entropic(2.0), cfg)
+    assert [f.member for f in info.value.failures] == list(range(5))
+    assert all(isinstance(f, TrainingError) for f in info.value.failures)
+    assert "members 0, 1, 2, 3, 4 failed" in str(info.value)
+
+
+def test_helper_errors_reach_the_caller(monkeypatch):
+    original = sharing.train_member
+    raised_in = []
+
+    def failing(*args, member, **kwargs):
+        if member == 1:
+            raised_in.append(threading.current_thread())
+            raise ValueError("member 1 is broken")
+        return original(*args, member=member, **kwargs)
+
+    _workers(monkeypatch, cpus=2)
+    monkeypatch.setattr(sharing, "train_member", failing)
+    cfg = replace(WIDE, epochs=1)
+    with pytest.raises(ValueError, match="member 1 is broken"):
+        train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    assert raised_in[0] is not threading.main_thread()
+
+
+def test_helpers_inherit_the_callers_errstate(monkeypatch):
+    seen = {}
+    original = sharing.train_member
+
+    def recording(*args, member, **kwargs):
+        seen[member] = np.geterr()["over"]
+        return original(*args, member=member, **kwargs)
+
+    _workers(monkeypatch, cpus=2)
+    monkeypatch.setattr(sharing, "train_member", recording)
+    cfg = replace(WIDE, epochs=1)
+    with np.errstate(over="raise"):
+        train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    assert seen == {0: "raise", 1: "raise", 2: "raise"}
+
+
+def test_an_interrupt_in_the_caller_is_not_held_up(monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    started = []
+
+    def blocking(*args, member, **kwargs):
+        started.append(member)
+        if member == 0:
+            entered.wait(timeout=30)
+            raise KeyboardInterrupt
+        entered.set()
+        release.wait(timeout=30)  # the helper's member 1 runs until released
+
+    _workers(monkeypatch, cpus=2)
+    monkeypatch.setattr(sharing, "train_member", blocking)
+    cfg = replace(WIDE, ensemble_size=4)
+    with pytest.raises(KeyboardInterrupt):
+        train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    helper = next(t for t in threading.enumerate() if t.name == "infconv-member-1")
+    assert helper.daemon and helper.is_alive()
+    release.set()
+    helper.join(timeout=30)
+    assert not helper.is_alive()
+    assert sorted(started) == [0, 1]  # the helper skips member 3 after the interrupt
+
+
+def test_concurrent_members_match_serial_bytes_with_two_blas_threads():
+    # the BLAS thread count may change the bits; concurrency must not
+    src = str(Path(infconv.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    config = {f.name: getattr(WIDE, f.name) for f in fields(WIDE)}
+    done = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT.format(config=config)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = done.stdout.split()
+    assert len(digests) == 2 * WIDE.ensemble_size
+    assert digests[: WIDE.ensemble_size] == digests[WIDE.ensemble_size :]
 
 
 # ---------------------------------------------------------------------------
