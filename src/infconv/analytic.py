@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Entropic, ExpectedShortfall, RiskMeasure
-from .sampling import Distribution, pdf, quantile, support
+from .sampling import Distribution, _density, quantile, support
 
 __all__ = [
     "ProportionalAllocation",
@@ -36,10 +36,12 @@ _QUAD_RTOL = 1e-12
 
 
 def _quad(f, lo: float, hi: float) -> float:
-    """Integral of a vectorized f over [lo, hi] by the tanh-sinh rule.
+    """Integral of a vectorized f(x, x - lo, hi - x) over [lo, hi] by the
+    tanh-sinh rule.
 
-    Each node is an exact offset d from the nearer end, so boundary layers
-    and endpoint singularities keep their digits.  The step halves from 1/2
+    Each node is an exact offset d from the nearer end, and f receives it
+    beside x, which may round it away, so boundary layers and endpoint
+    singularities keep their digits.  The step halves from 1/2
     until two estimates agree within ``_QUAD_RTOL`` of the integral of |f|,
     or raises ValueError at 2**-11.
     """
@@ -49,7 +51,9 @@ def _quad(f, lo: float, hi: float) -> float:
         # d = (hi - lo) / (1 + exp(pi sinh|t|)); |dd/dt| = pi cosh(t) d (hi - lo - d) / (hi - lo)
         offset = (hi - lo) / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))
         weight = np.pi * 0.5**level / (hi - lo) * np.cosh(t) * offset * (hi - lo - offset)
-        terms = f(np.where(t < 0.0, lo + offset, hi - offset)) * weight
+        from_lo = np.where(t < 0.0, offset, hi - lo - offset)
+        from_hi = np.where(t < 0.0, hi - lo - offset, offset)
+        terms = f(np.where(t < 0.0, lo + offset, hi - offset), from_lo, from_hi) * weight
         previous, estimate = estimate, terms.sum()
         if abs(estimate - previous) <= _QUAD_RTOL * np.abs(terms).sum():
             return float(estimate)
@@ -64,7 +68,10 @@ def entropic_risk(dist: Distribution, beta: float) -> float:
     """
     beta = Entropic(beta).beta
     lo, hi = support(dist)
-    integral = _quad(lambda x: np.exp((lo - x) / beta) * pdf(dist, x), lo, hi)
+    integral = _quad(
+        lambda x, from_lo, from_hi: np.exp((lo - x) / beta) * _density(dist, x, from_lo, from_hi),
+        lo, hi,
+    )
     if not integral > 0.0:
         raise ValueError(f"beta {beta!r} is too small to integrate over [{lo!r}, {hi!r}]")
     return -lo + beta * float(np.log(integral))
@@ -73,7 +80,7 @@ def entropic_risk(dist: Distribution, beta: float) -> float:
 def expected_shortfall_risk(dist: Distribution, alpha: float) -> float:
     """(1/alpha) * integral of -quantile over (0, alpha) by quadrature."""
     alpha = ExpectedShortfall(alpha).alpha
-    return _quad(lambda u: -quantile(dist, u), 0.0, alpha) / alpha
+    return _quad(lambda u, *_: -quantile(dist, u), 0.0, alpha) / alpha
 
 
 def analytic_infconv(

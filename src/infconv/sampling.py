@@ -153,7 +153,13 @@ def pdf(dist: Distribution, x: np.ndarray | float) -> np.ndarray:
     """Density, vectorized; zero outside the support."""
     x = np.asarray(x, dtype=np.float64)
     lo, hi = support(dist)
-    inside = (x >= lo) & (x <= hi)
+    return _density(dist, x, x - lo, hi - x)
+
+
+def _density(dist: Distribution, x: np.ndarray, from_lo: np.ndarray, from_hi: np.ndarray) -> np.ndarray:
+    """pdf at x, given x - lo and hi - x, which may carry digits that x has
+    lost next to an end of the support."""
+    inside = (from_lo >= 0.0) & (from_hi >= 0.0)
     if isinstance(dist, Uniform):
         return np.where(inside, 1.0 / (dist.hi - dist.lo), 0.0)
     if isinstance(dist, TruncNormal):
@@ -162,11 +168,11 @@ def pdf(dist: Distribution, x: np.ndarray | float) -> np.ndarray:
         dens = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * dist.sd * (b - a))
         return np.where(inside, dens, 0.0)
     if isinstance(dist, NegBeta):
-        bval = np.clip(-x, 0.0, 1.0)
+        # B = -x = hi - x and 1 - B = x + 1 = x - lo
         with np.errstate(divide="ignore", invalid="ignore"):
             dens = (
-                bval ** (dist.a - 1.0)
-                * (1.0 - bval) ** (dist.b - 1.0)
+                np.maximum(from_hi, 0.0) ** (dist.a - 1.0)
+                * np.maximum(from_lo, 0.0) ** (dist.b - 1.0)
                 / special.beta(dist.a, dist.b)
             )
         return np.where(inside, np.nan_to_num(dens, nan=0.0, posinf=0.0), 0.0)

@@ -10,9 +10,9 @@ two shares add up to the input exactly.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
+from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +27,7 @@ from .measures import (
     leaves,
     sorted_risk,
 )
+from . import net
 from .net import ACTIVATIONS, Mlp, forward, init_mlp, value_and_grad
 from .optim import OptimizerError, init_adam, init_plateau, adam_step, plateau_step
 from .oracle import brute_force_infconv, build_knots
@@ -58,14 +59,6 @@ __all__ = [
 # less than 2**-_METRIC_TERMS (~2.4e-4).
 _METRIC_TERMS = 12
 _METRIC_POINTS_PER_UNIT = 512
-
-# Members train on concurrent threads only when batch_size * max(hidden width)
-# reaches this, so that each numpy call of a step runs long outside the GIL.
-# On 2 CPUs with 1 BLAS thread, 3 members of an entropic pair took 1.32x the
-# serial time at 8,000 (width 8, batch 1000), 1.15x at 16,000 and 0.78-0.92x
-# at 25,600 to 32,000; a spectral pair took 1.03x at 8,000 and 0.88x at 16,000.
-_PARALLEL_MIN_WORK = 2**15
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -206,6 +199,25 @@ def train_member(
     streams 4k+1 and 4k+2 and shuffles batches from stream 4k+3, so members
     are independent while the data sample (stream 0) is shared.
     """
+    epochs = _member_epochs(samples, spec1, spec2, config, member)
+    while True:
+        try:
+            next(epochs)
+        except StopIteration as done:
+            return done.value
+
+
+def _member_epochs(
+    samples: np.ndarray,
+    spec1: RiskMeasure,
+    spec2: RiskMeasure,
+    config: TrainConfig,
+    member: int,
+) -> Generator[None, None, MemberResult]:
+    """train_member as a generator that yields between epochs and returns
+    the MemberResult, so that a scheduler can interleave members epoch by
+    epoch.  A waiting member holds its parameters and optimizer state, but
+    not the activations of its last batch."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size != config.n_samples:
         raise ValueError("sample vector does not match config.n_samples")
@@ -226,6 +238,8 @@ def train_member(
     lrs = np.empty(config.epochs)
 
     for epoch in range(config.epochs):
+        if epoch:
+            yield
         order = shuffler.permutation(config.n_samples)
         batch_losses = []
         for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
@@ -254,6 +268,8 @@ def train_member(
                 ) from exc
             phi1.params = p1
             phi2.params = p2
+        # a waiting member must not keep these: the pullbacks hold every activation of the batch
+        del order, xb, v1, v2, pull1, pull2, cot1, cot2
         epoch_loss = float(np.mean(batch_losses))
         losses[epoch] = epoch_loss
         lrs[epoch] = lr
@@ -320,22 +336,6 @@ class TrainResult:
     history: LossHistory
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    """Threads one BLAS call may use, as OpenBLAS reads them at start-up:
-    the first positive count among its variables, else one per usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return _usable_cpus()
-
-
 def train_ensemble(
     samples: np.ndarray,
     spec1: RiskMeasure,
@@ -347,50 +347,54 @@ def train_ensemble(
     All members see the same sample; failures are collected and reported
     together, in member order, so one diverging member does not hide another.
 
-    From _PARALLEL_MIN_WORK on, members train on min(ensemble_size, usable
-    CPUs // BLAS threads) threads: the calling thread and daemon helpers,
-    worker j taking members j, j + workers, ...  Dividing by the BLAS threads
-    keeps concurrent BLAS calls from oversubscribing the CPUs: on 2 CPUs with
-    2 BLAS threads, two member threads took 1.37x the serial time.  A member
+    Members train on net._workers(ensemble_size, batch_size * max(hidden
+    widths)) threads, the calling thread and daemon helpers: concurrently
+    from a batch of 2**15 rows times width on, when BLAS leaves CPUs free.  Worker j starts member j; then
+    each worker, after each epoch, puts its member back in a queue and takes
+    the member that has waited longest, so every worker stays busy until the
+    last epoch.  A member's epochs still run one at a time and in order, it
     depends only on its own streams, and every numpy call gives the same bits
     in any thread, so the result is byte-identical to training the members
-    one after another.  Any error other than a TrainingError is re-raised
-    here, the lowest member's first.
+    one after another.  A TrainingError ends only its member.  Any other
+    error is re-raised here, the lowest member's first; members above it
+    stop training, members below it go on, since they might fail first.  An
+    interrupted caller leaves each helper to finish at most its current
+    epoch.
     """
     size = config.ensemble_size
-    workers = min(size, _usable_cpus() // _blas_threads())
-    if workers < 2 or config.batch_size * max(config.hidden_widths) < _PARALLEL_MIN_WORK:
-        workers = 1
+    workers = net._workers(size, config.batch_size * max(config.hidden_widths))
+    runs = [_member_epochs(samples, spec1, spec2, config, k) for k in range(size)]
     outcomes: list = [None] * size
+    waiting = deque(range(workers, size))  # members in the order they started waiting
+    lock = threading.Lock()
     stop = threading.Event()
+    fatal = size  # lowest member that raised something other than a TrainingError
 
-    def work(first: int) -> None:
-        for k in range(first, size, workers):
-            if stop.is_set():
-                return
+    def work(k: int) -> None:
+        nonlocal fatal
+        while not stop.is_set():
             try:
-                outcomes[k] = train_member(samples, spec1, spec2, config, member=k)
+                next(runs[k])
+            except StopIteration as done:
+                outcomes[k] = done.value
             except Exception as exc:  # collected, and sorted out in member order below
                 outcomes[k] = exc
                 if not isinstance(exc, TrainingError):
+                    with lock:  # members above it cannot change which error is raised
+                        fatal = min(fatal, k)
+                        for j in [j for j in waiting if j > fatal]:
+                            waiting.remove(j)
+            with lock:
+                if outcomes[k] is None and k < fatal:
+                    waiting.append(k)
+                if not waiting:
                     return
+                k = waiting.popleft()
 
-    # each helper runs in a copy of the caller's context, so numpy's errstate holds there too
-    helpers = [
-        threading.Thread(
-            target=contextvars.copy_context().run, args=(work, j),
-            name=f"infconv-member-{j}", daemon=True,
-        )
-        for j in range(1, workers)
-    ]
     try:
-        for thread in helpers:
-            thread.start()
-        work(0)
-        for thread in helpers:
-            thread.join()
+        net._in_threads(work, workers, "infconv-member")
     finally:
-        stop.set()  # an interrupted caller leaves helpers to finish one member, not all
+        stop.set()  # an interrupted caller leaves helpers to finish one epoch, not all
     for outcome in outcomes:
         if isinstance(outcome, Exception) and not isinstance(outcome, TrainingError):
             raise outcome

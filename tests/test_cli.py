@@ -363,15 +363,15 @@ def _training_forbidden(*args, **kwargs):
 
 
 def test_run_unresolvable_reference_exits_2_before_training(tmp_path, capsys, monkeypatch):
-    # the pooled beta of 0.005 is past the quadrature's reach next to the
-    # infinite density of negbeta(0.5, 0.7) at -1
+    # the pooled beta of 1e-290 makes a boundary layer at -1 thinner than
+    # every quadrature node's offset from it
     monkeypatch.setattr(cli, "train_ensemble", _training_forbidden)
     cfg = tmp_path / "sharp.cfg"
     cfg.write_text(
         "name = sharp\n"
-        "distribution = negbeta(0.5, 0.7)\n"
-        "rho1 = entropic(beta=0.0025)\n"
-        "rho2 = entropic(beta=0.0025)\n"
+        "distribution = uniform(-1, 1)\n"
+        "rho1 = entropic(beta=5e-291)\n"
+        "rho2 = entropic(beta=5e-291)\n"
         "n_samples = 400\nbatch_size = 50\nepochs = 1\n",
         encoding="utf-8",
     )

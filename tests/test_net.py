@@ -1,10 +1,12 @@
 """Feed-forward nets: shapes, forwards, hand-written gradients, serialization."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from infconv import net as net_module
 from infconv import (
     ACTIVATIONS,
     Mlp,
@@ -109,6 +111,58 @@ def test_forward_memory_does_not_grow_with_width_times_batch():
         tracemalloc.stop()
     assert out.shape == xs.shape
     assert peak < 16 * 2**20
+
+
+def _forced_workers(monkeypatch, workers):
+    # usable CPUs // BLAS threads = workers; width 64 clears the work threshold
+    monkeypatch.setattr(net_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(net_module, "_blas_threads", lambda: 1)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_threaded_forward_equals_serial_bit_for_bit(monkeypatch, activation):
+    net = make_net((1, 64, 64, 1), activation, seed=6)
+    rng = np.random.default_rng(6)
+    for size in (1, 1023, 1024, 1025, 2049, 200_001):
+        xs = rng.uniform(-3.0, 3.0, size=size)
+        _forced_workers(monkeypatch, 1)
+        serial = forward(net, xs)
+        for workers in (2, 3, 4):
+            _forced_workers(monkeypatch, workers)
+            assert forward(net, xs).tobytes() == serial.tobytes()
+
+
+def test_forward_splits_blocks_over_threads(monkeypatch):
+    # 2049 rows are 3 blocks: 3 threads take one each, 4 threads still only 3
+    seen = set()
+    original = net_module._activate
+
+    def recording(z, activation):
+        seen.add(threading.current_thread().name)
+        return original(z, activation)
+
+    monkeypatch.setattr(net_module, "_activate", recording)
+    net = make_net((1, 64, 1), "tanh")
+    for workers, threads in ((1, 1), (3, 3), (4, 3)):
+        _forced_workers(monkeypatch, workers)
+        seen.clear()
+        forward(net, np.zeros(2049))
+        assert len(seen) == threads
+    _forced_workers(monkeypatch, 2)
+    seen.clear()
+    forward(make_net((1, 31, 1), "tanh"), np.zeros(2049))  # 1024 * 31 is below the threshold
+    assert len(seen) == 1
+
+
+def test_forward_helper_errors_reach_the_caller(monkeypatch):
+    _forced_workers(monkeypatch, 2)
+    # the second block overflows, in the helper, under the caller's errstate
+    net = Mlp((1, 64, 1), "linear", np.full(64 * 2 + 65, 4.0))
+    xs = np.concatenate([np.zeros(1024), np.full(1024, 1e308)])
+    with np.errstate(over="raise"):
+        forward(net, xs[:1024])
+        with pytest.raises(FloatingPointError):
+            forward(net, xs)
 
 
 def test_forward_rejects_bad_batches():

@@ -14,6 +14,7 @@ import json
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.stats import truncnorm
 
 from infconv import (
     ACTIVATIONS,
@@ -42,6 +43,10 @@ from infconv import (
     parse_risk_spec,
     render_distribution,
     render_risk_spec,
+    draw,
+    quantile,
+    stratified_sample,
+    support,
     value_and_grad,
 )
 from infconv.cli import parse_experiment, render_experiment
@@ -232,6 +237,42 @@ def distributions(draw):
 @given(distributions())
 def test_distribution_render_parses_back(dist):
     assert parse_distribution(render_distribution(dist)) == dist
+
+
+seeds = st.integers(0, 2**64 - 1)
+# NegBeta shapes of 0.01 to 100; far larger ones draw NaN (betaincinv)
+sampler_distributions = st.one_of(
+    distributions().filter(lambda dist: not isinstance(dist, NegBeta)),
+    st.builds(NegBeta, st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+)
+
+
+@given(sampler_distributions, seeds, seeds)
+def test_draws_lie_inside_the_support(dist, seed, stream):
+    lo, hi = support(dist)
+    xs = draw(dist, 1000, RngSeed(seed, stream))
+    assert np.all((xs >= lo) & (xs <= hi))
+
+
+@given(sampler_distributions, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50))
+def test_quantile_is_monotone(dist, us):
+    qs = quantile(dist, np.sort(us))
+    assert np.all(np.diff(qs) >= 0.0)
+
+
+@given(sampler_distributions, st.integers(1, 5000))
+def test_stratified_sample_is_the_quantile_at_stratum_midpoints(dist, n):
+    want = quantile(dist, (np.arange(n) + 0.5) / n)
+    assert stratified_sample(dist, n).tobytes() == want.tobytes()
+
+
+@given(st.floats(5.0, 36.0), st.floats(0.05, 2.0), st.booleans())
+def test_far_tail_truncnormal_quantiles_match_scipy(start, width, upper):
+    # intervals 5 to 38 sd from the mean, in either tail
+    lo, hi = (start, start + width) if upper else (-start - width, -start)
+    us = np.linspace(0.001, 0.999, 101)
+    got = quantile(TruncNormal(0.0, 1.0, lo, hi), us)
+    assert np.allclose(got, truncnorm.ppf(us, lo, hi), rtol=0.0, atol=1e-12 * width)
 
 
 @given(specs())

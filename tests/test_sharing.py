@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from infconv import (
     train_ensemble,
     train_member,
 )
+from infconv import net
 from infconv.sharing import LossHistory
 
 U = Uniform(-1.0, 1.0)
@@ -332,25 +334,35 @@ WIDE = TrainConfig(
     base_seed=4,
 )
 # In a fresh interpreter that counts 4 CPUs, so that 2 BLAS threads leave
-# room for 2 workers: prints the digest of every member of WIDE's ensemble,
-# then of the same members trained one by one.
+# room for 2 workers: prints the digest of every member of WIDE's ensemble and
+# of its first share on 200,001 points, then the same digests with the members
+# trained and evaluated on one thread (2 CPUs leave room for 1 worker).
 _DIGEST_SCRIPT = """
 import hashlib
-from infconv import Entropic, RngSeed, TrainConfig, Uniform, draw, sharing, train_ensemble, train_member
-sharing._usable_cpus = lambda: 4
+import numpy as np
+from infconv import Entropic, RngSeed, TrainConfig, Uniform, draw, net, train_ensemble, train_member
+from infconv.sharing import EnsembleAllocation
 cfg = TrainConfig(**{config!r})
 xs = draw(Uniform(-1.0, 1.0), cfg.n_samples, RngSeed(cfg.base_seed, 0))
-members = train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg).allocation.members
-serial = [train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=k) for k in range(len(members))]
-for m in (*members, *serial):
-    parts = (m.phi1.params, m.phi2.params, m.losses, m.lrs)
+grid = np.linspace(-1.0, 1.0, 200_001)
+def digest(*parts):
     print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+net._usable_cpus = lambda: 4
+members = train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg).allocation.members
+firsts = [EnsembleAllocation(members).first(grid)]
+net._usable_cpus = lambda: 2
+serial = [train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=k) for k in range(len(members))]
+firsts.append(EnsembleAllocation(tuple(serial)).first(grid))
+for ms, first in ((members, firsts[0]), (serial, firsts[1])):
+    for m in ms:
+        digest(m.phi1.params, m.phi2.params, m.losses, m.lrs)
+    digest(first)
 """
 
 
 def _workers(monkeypatch, cpus, blas_threads=1):
-    monkeypatch.setattr(sharing, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(sharing, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(net, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(net, "_blas_threads", lambda: blas_threads)
 
 
 def _assert_members_match_serial(cfg):
@@ -368,7 +380,7 @@ def _assert_members_match_serial(cfg):
 @pytest.mark.parametrize("size, hidden", [(3, (64, 64)), (5, (64, 64)), (3, (100, 100, 100))])
 def test_concurrent_members_match_serial_bytes(monkeypatch, size, hidden):
     cfg = replace(WIDE, ensemble_size=size, hidden_widths=hidden)
-    assert cfg.batch_size * max(cfg.hidden_widths) >= sharing._PARALLEL_MIN_WORK
+    assert cfg.batch_size * max(cfg.hidden_widths) >= net._PARALLEL_MIN_WORK
     _workers(monkeypatch, cpus=2)
     _assert_members_match_serial(cfg)
 
@@ -384,24 +396,67 @@ def test_more_threads_than_cores_with_fast_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("cpus, blas_threads, workers", [(2, 1, 2), (3, 1, 3), (8, 2, 4), (2, 2, 1)])
-def test_members_split_round_robin_over_threads(monkeypatch, cpus, blas_threads, workers):
-    _workers(monkeypatch, cpus, blas_threads)
-    cfg = replace(WIDE, ensemble_size=5, epochs=1)
-    trained_by = {}
-    original = sharing.train_member
+def _hooked_epochs(monkeypatch, before_epoch):
+    """Route train_ensemble's per-epoch hook through before_epoch(member),
+    called in the training thread before each of the member's epochs."""
+    original = sharing._member_epochs
 
-    def recording(*args, member, **kwargs):
-        trained_by[member] = threading.current_thread()
-        return original(*args, member=member, **kwargs)
+    def hooked(*args):
+        member = args[-1]
+        epochs = original(*args)
+        while True:
+            before_epoch(member)
+            try:
+                next(epochs)
+            except StopIteration as done:
+                return done.value
+            yield
 
-    monkeypatch.setattr(sharing, "train_member", recording)
+    monkeypatch.setattr(sharing, "_member_epochs", hooked)
+
+
+def _epochs_by_thread(monkeypatch, cfg):
+    """Train cfg's ensemble and return each epoch's (member, thread), in the
+    order the epochs started."""
+    trained = []
+    lock = threading.Lock()
+
+    def recording(member):
+        with lock:
+            trained.append((member, threading.current_thread()))
+        time.sleep(0.2)  # epochs of about one length, so no worker falls an epoch behind
+
+    _hooked_epochs(monkeypatch, recording)
     train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
-    assert sorted(trained_by) == list(range(cfg.ensemble_size))
-    assert len(set(trained_by.values())) == workers
-    for k, thread in trained_by.items():
-        assert (thread is threading.main_thread()) == (k % workers == 0)
-        assert thread is trained_by[k % workers]
+    assert sorted(member for member, _ in trained) == sorted(list(range(cfg.ensemble_size)) * cfg.epochs)
+    return trained
+
+
+# one batch per epoch, so that an epoch is mostly the hook's sleep
+SHORT_EPOCHS = replace(WIDE, n_samples=1000, epochs=4)
+
+
+@pytest.mark.parametrize("cpus, blas_threads, workers", [(2, 1, 2), (3, 1, 3), (8, 2, 4), (2, 2, 1)])
+def test_worker_j_starts_member_j_then_takes_waiting_members(monkeypatch, cpus, blas_threads, workers):
+    _workers(monkeypatch, cpus, blas_threads)
+    trained = _epochs_by_thread(monkeypatch, replace(SHORT_EPOCHS, ensemble_size=workers + 1))
+    members_of = {}
+    for member, thread in trained:
+        members_of.setdefault(thread, set()).add(member)
+    assert len(members_of) == workers and threading.main_thread() in members_of
+    for k in range(workers):
+        first = next(thread for member, thread in trained if member == k)
+        assert (first is threading.main_thread()) == (k == 0)
+    assert all(len(members) > 1 for members in members_of.values())
+
+
+def test_three_members_share_two_workers_epoch_by_epoch(monkeypatch):
+    _workers(monkeypatch, cpus=2)
+    trained = _epochs_by_thread(monkeypatch, SHORT_EPOCHS)
+    main = [member for member, thread in trained if thread is threading.main_thread()]
+    helper = [member for member, thread in trained if thread is not threading.main_thread()]
+    assert len(set(main)) > 1 and len(set(helper)) > 1
+    assert abs(len(main) - len(helper)) <= 1
 
 
 def test_narrow_configs_train_in_the_calling_thread(monkeypatch):
@@ -409,27 +464,27 @@ def test_narrow_configs_train_in_the_calling_thread(monkeypatch):
         raise AssertionError("a helper thread was started")
 
     _workers(monkeypatch, cpus=2)
-    monkeypatch.setattr(sharing.threading, "Thread", no_threads)
+    monkeypatch.setattr(net.threading, "Thread", no_threads)
     for cfg in (TINY, replace(TINY, batch_size=1000, hidden_widths=(8, 8))):
-        assert cfg.batch_size * max(cfg.hidden_widths) < sharing._PARALLEL_MIN_WORK
+        assert cfg.batch_size * max(cfg.hidden_widths) < net._PARALLEL_MIN_WORK
         train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), replace(cfg, epochs=1))
 
 
 def test_blas_threads_follow_the_blas_variables(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(sharing, "_usable_cpus", lambda: 6)
-    assert sharing._blas_threads() == 6
+    monkeypatch.setattr(net, "_usable_cpus", lambda: 6)
+    assert net._blas_threads() == 6
     monkeypatch.setenv("MKL_NUM_THREADS", "1")  # not read by OpenBLAS
-    assert sharing._blas_threads() == 6
+    assert net._blas_threads() == 6
     monkeypatch.setenv("OMP_NUM_THREADS", "4,2")  # a nested list is not a count
-    assert sharing._blas_threads() == 6
+    assert net._blas_threads() == 6
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert sharing._blas_threads() == 3
+    assert net._blas_threads() == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
-    assert sharing._blas_threads() == 3
+    assert net._blas_threads() == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert sharing._blas_threads() == 1
+    assert net._blas_threads() == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -444,17 +499,15 @@ def test_concurrent_divergence_lists_members_in_order(monkeypatch):
 
 
 def test_helper_errors_reach_the_caller(monkeypatch):
-    original = sharing.train_member
     raised_in = []
 
-    def failing(*args, member, **kwargs):
+    def failing(member):
         if member == 1:
             raised_in.append(threading.current_thread())
             raise ValueError("member 1 is broken")
-        return original(*args, member=member, **kwargs)
 
     _workers(monkeypatch, cpus=2)
-    monkeypatch.setattr(sharing, "train_member", failing)
+    _hooked_epochs(monkeypatch, failing)
     cfg = replace(WIDE, epochs=1)
     with pytest.raises(ValueError, match="member 1 is broken"):
         train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
@@ -463,34 +516,34 @@ def test_helper_errors_reach_the_caller(monkeypatch):
 
 def test_helpers_inherit_the_callers_errstate(monkeypatch):
     seen = {}
-    original = sharing.train_member
 
-    def recording(*args, member, **kwargs):
-        seen[member] = np.geterr()["over"]
-        return original(*args, member=member, **kwargs)
+    def recording(member):
+        seen.setdefault(member, set()).add((threading.current_thread().name, np.geterr()["over"]))
 
     _workers(monkeypatch, cpus=2)
-    monkeypatch.setattr(sharing, "train_member", recording)
+    _hooked_epochs(monkeypatch, recording)
     cfg = replace(WIDE, epochs=1)
     with np.errstate(over="raise"):
         train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
-    assert seen == {0: "raise", 1: "raise", 2: "raise"}
+    assert sorted(seen) == [0, 1, 2]
+    assert {over for epochs in seen.values() for _, over in epochs} == {"raise"}
+    assert ("infconv-member-1", "raise") in seen[1]
 
 
 def test_an_interrupt_in_the_caller_is_not_held_up(monkeypatch):
     entered, release = threading.Event(), threading.Event()
     started = []
 
-    def blocking(*args, member, **kwargs):
+    def blocking(member):
         started.append(member)
         if member == 0:
             entered.wait(timeout=30)
             raise KeyboardInterrupt
         entered.set()
-        release.wait(timeout=30)  # the helper's member 1 runs until released
+        release.wait(timeout=30)  # the helper's epoch of member 1 runs until released
 
     _workers(monkeypatch, cpus=2)
-    monkeypatch.setattr(sharing, "train_member", blocking)
+    _hooked_epochs(monkeypatch, blocking)
     cfg = replace(WIDE, ensemble_size=4)
     with pytest.raises(KeyboardInterrupt):
         train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
@@ -499,7 +552,7 @@ def test_an_interrupt_in_the_caller_is_not_held_up(monkeypatch):
     release.set()
     helper.join(timeout=30)
     assert not helper.is_alive()
-    assert sorted(started) == [0, 1]  # the helper skips member 3 after the interrupt
+    assert sorted(started) == [0, 1]  # after the interrupt the helper starts no other epoch
 
 
 def test_concurrent_members_match_serial_bytes_with_two_blas_threads():
@@ -517,8 +570,8 @@ def test_concurrent_members_match_serial_bytes_with_two_blas_threads():
     )
     assert done.returncode == 0, done.stderr
     digests = done.stdout.split()
-    assert len(digests) == 2 * WIDE.ensemble_size
-    assert digests[: WIDE.ensemble_size] == digests[WIDE.ensemble_size :]
+    assert len(digests) == 2 * (WIDE.ensemble_size + 1)
+    assert digests[: WIDE.ensemble_size + 1] == digests[WIDE.ensemble_size + 1 :]
 
 
 # ---------------------------------------------------------------------------
