@@ -12,13 +12,21 @@ its own order, and on segment s a candidate is its knot value plus its slope
 times the offset from the knot.  The risk kernel's compiled form
 (``measures._compile``) splits each measure into order weights, whose pooled
 term is linear in the slopes, and entropic leaves, whose log-mean-exp is a
-sum over segments of per-segment sums tabulated once per slope value.  A
-candidate therefore costs O(segments) work, not O(samples), and no solve
-builds a samples-by-candidates matrix.
+sum over segments of per-segment sums tabulated once per slope value.
+
+Candidates are scored as Cartesian products of per-segment choices: each
+per-segment table is indexed once by its segment's choices and broadcast
+along that segment's axis, so one call scores a whole block of trailing
+segments under a fixed prefix from small arrays.  No solve gathers per
+candidate or builds a samples-by-candidates matrix, and every value is
+summed in one fixed order, so it has the same bits however candidates are
+grouped into calls.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,17 +178,8 @@ def _log_segment_sums(d: np.ndarray, bounds: np.ndarray, slopes: np.ndarray, bet
     return out
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, one row at a time, so a column's sum does not depend
-    on how many columns share the call."""
-    total = a[0].copy()
-    for row in a[1:]:
-        total += row
-    return total
-
-
 class _Scorer:
-    """Pooled objective of candidates given as digit columns into ``slope_values``.
+    """Pooled objective of products of per-segment digits into ``slope_values``.
 
     On the sample a candidate is Y_i = V_s + theta_s * d_i, where s is the
     segment of sample i, d_i its offset from the segment's left knot k_s and
@@ -188,17 +187,17 @@ class _Scorer:
     (k_s - V_s) + (1 - theta_s) * d_i.  The linear leaves are linear in
     theta, so both agents' order weights fold into one gain per segment.
     An entropic leaf's log-mean-exp splits into one log-sum per segment,
-    tabulated once for every slope value.  A candidate then costs
-    O(segments), not O(samples).
+    tabulated once for every slope value.  A call indexes each segment's
+    tables (theta * gain, theta * width, theta * left knot, log-sums) once
+    by its choices and combines them by broadcasting, segment 0 first, so a
+    candidate's value does not depend on which product it was scored in.
     """
 
     def __init__(self, spec1: RiskMeasure, spec2: RiskMeasure, m: EmpiricalMeasure,
                  knots: np.ndarray, slope_values: np.ndarray):
         xs = m.samples
         n = xs.size
-        self.slope_values = slope_values
         self.left = knots[:-1]
-        self.widths = np.diff(knots)
         # the segment holding 0, where the candidate's value is theta * x
         self.zero = int(np.clip(np.searchsorted(knots, 0.0, side="right") - 1, 0, self.left.size - 1))
         bounds = np.searchsorted(xs, self.left)
@@ -210,12 +209,16 @@ class _Scorer:
         lin2, ent2 = _compile(spec2, n)
         c = overlap_matrix(xs, knots)
         self.offset = 0.0
-        self.gain = np.zeros(self.left.size)
+        gain = np.zeros(self.left.size)
         if lin1 is not None:
-            self.gain -= lin1 @ c
+            gain -= lin1 @ c
         if lin2 is not None:
             self.offset = -float(lin2 @ xs)
-            self.gain += lin2 @ c
+            gain += lin2 @ c
+        # (segments, slopes) tables of theta * gain, theta * width, theta * left knot
+        self.gains = slope_values * gain[:, None]
+        self.steps = slope_values * np.diff(knots)[:, None]
+        self.lefts = slope_values * self.left[:, None]
         self.entropic1 = [
             (w, beta, _log_segment_sums(d, bounds, slope_values, beta)) for w, beta in ent1
         ]
@@ -224,32 +227,34 @@ class _Scorer:
         ]
         self.log_n = np.log(n)
 
-    def knot_values(self, thetas: np.ndarray) -> np.ndarray:
-        """(segments, k) values at the left knots, summed outward from the
-        segment holding 0; equals overlap_matrix(knots[:-1], knots) @ thetas."""
-        z = self.zero
-        steps = thetas * self.widths[:, None]
-        v = np.empty(thetas.shape)
-        v[z] = thetas[z] * self.left[z]
-        v[z + 1 :] = v[z] + np.cumsum(steps[z:-1], axis=0)
-        v[:z] = v[z] - np.cumsum(steps[:z][::-1], axis=0)[::-1]
-        return v
+    def __call__(self, choices: list) -> np.ndarray:
+        """Objective of every candidate in the product of ``choices``, where
+        ``choices[s]`` lists segment s's digits into ``slope_values``; flat,
+        in lexicographic order (the last segment varies fastest)."""
+        n_seg = len(choices)
 
-    def __call__(self, digits: np.ndarray) -> np.ndarray:
-        """Objective of each column of a (segments, k) array of digits."""
-        thetas = self.slope_values[digits]
-        total = self.offset + _sum_rows(thetas * self.gain[:, None])
+        def pick(table: np.ndarray, s: int):
+            # row s at segment s's choices, along axis s; one choice is a scalar
+            row = table[s, choices[s]]
+            return row[0] if row.size == 1 else row.reshape((-1,) + (1,) * (n_seg - 1 - s))
+
+        total = self.offset + functools.reduce(np.add, (pick(self.gains, s) for s in range(n_seg)))
         if self.entropic1 or self.entropic2:
-            v1 = self.knot_values(thetas)
-            v2 = self.left[:, None] - v1
-            segs = np.arange(digits.shape[0])[:, None]
+            # values at the left knots, overlap_matrix(knots[:-1], knots) @ thetas,
+            # summed outward from the segment holding 0
+            z = self.zero
+            up = itertools.accumulate(pick(self.steps, s) for s in range(z, n_seg - 1))
+            down = itertools.accumulate(pick(self.steps, s) for s in range(z - 1, -1, -1))
+            vz = pick(self.lefts, z)
+            v1 = [vz - run for run in reversed(list(down))] + [vz] + [vz + run for run in up]
+            v2 = [left - v for left, v in zip(self.left, v1)]
             for v, entropic in ((v1, self.entropic1), (v2, self.entropic2)):
                 for w, beta, log_sums in entropic:
-                    a = log_sums[segs, digits] - v / beta
-                    top = a.max(axis=0)
-                    lse = top + np.log(_sum_rows(np.exp(a - top)))
-                    total += w * beta * (lse - self.log_n)
-        return total
+                    a = [pick(log_sums, s) - v[s] / beta for s in range(n_seg)]
+                    top = functools.reduce(np.maximum, a)
+                    sums = functools.reduce(np.add, (np.exp(x - top) for x in a))
+                    total = total + w * beta * (top + np.log(sums) - self.log_n)
+        return np.broadcast_to(total, [len(c) for c in choices]).reshape(-1)
 
 
 def oracle_objective(
@@ -264,7 +269,7 @@ def oracle_objective(
         raise ValueError("need at least two knots")
     candidate = GridAllocation(knots=knots, slopes=slopes)
     score = _Scorer(spec1, spec2, m, candidate.knots, candidate.slopes)
-    return float(score(np.arange(candidate.slopes.size)[:, None])[0])
+    return float(score([[s] for s in range(candidate.slopes.size)])[0])
 
 
 def brute_force_infconv(
@@ -304,22 +309,23 @@ def brute_force_infconv(
 
     grid = np.linspace(0.0, 1.0, levels + 1)
     score = _Scorer(spec1, spec2, m, knots, grid)
-    shape = (levels + 1,) * n_seg
+    # one block per call: every combination of the fewest trailing segments
+    # that make _CHUNK candidates, under each leading prefix in turn
+    tail = next((t for t in range(1, n_seg) if grid.size**t >= _CHUNK), n_seg)
+    digits = np.arange(grid.size)
     best_value = np.inf
-    best_digits: np.ndarray | None = None
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        digits = np.stack(np.unravel_index(flat, shape))
-        values = score(digits)
+    best_digits: tuple | None = None
+    for head in itertools.product(range(grid.size), repeat=n_seg - tail):
+        values = score([[d] for d in head] + [digits] * tail)
         k = values.size - 1 - int(np.argmin(values[::-1]))
         if values[k] <= best_value:
             best_value = float(values[k])
-            best_digits = digits[:, k]
+            best_digits = head + np.unravel_index(k, (grid.size,) * tail)
     assert best_digits is not None
 
     return OracleResult(
         value=best_value,
-        slopes=grid[best_digits],
+        slopes=grid[list(best_digits)],
         knots=knots,
         evaluations=total,
         levels=levels,
@@ -352,20 +358,20 @@ def coordinate_descent_refine(
     grid = np.linspace(0.0, 1.0, levels + 1)
     slope_values = np.concatenate([grid, start.slopes])
     score = _Scorer(spec1, spec2, m, knots, slope_values)
-    digits = np.arange(start.slopes.size) + grid.size
+    digits = list(range(grid.size, grid.size + start.slopes.size))
 
-    current = float(score(digits[:, None])[0])
+    current = float(score([[d] for d in digits])[0])
     evaluations = 1
     for _ in range(sweeps):
         changed = False
-        for j in range(digits.size):
-            trials = np.repeat(digits[:, None], grid.size, axis=1)
+        for j in range(len(digits)):
+            trials = [[d] for d in digits]
             trials[j] = np.arange(grid.size)
             trial_values = score(trials)
             evaluations += grid.size
             k = int(np.argmin(trial_values))
             if trial_values[k] < current:
-                digits = trials[:, k]
+                digits[j] = k
                 current = float(trial_values[k])
                 changed = True
         if not changed:

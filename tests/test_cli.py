@@ -330,6 +330,16 @@ def test_run_deeply_nested_spec_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shapes", ["2, 1e155", "50, 1e155"])
+def test_run_negbeta_shapes_without_finite_quantiles_exit_2(tmp_path, capsys, shapes):
+    # betaincinv returns NaN quantiles for these shapes
+    cfg = tmp_path / "negbeta.cfg"
+    cfg.write_text(MINIMAL.replace("uniform(-1.0,1.0)", f"negbeta({shapes})"), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 2: field 'distribution'")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "line", ["patience = -1", "factor = 1.5", "threshold = -1.0", "min_lr = -1.0"]
 )

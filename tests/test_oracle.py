@@ -1,11 +1,16 @@
 """Grid oracle: knot building, candidate evaluation, enumeration, refinement."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infconv
 from infconv import (
     Entropic,
     ExpectedShortfall,
@@ -15,6 +20,7 @@ from infconv import (
     empirical,
     eval_entropic,
     eval_es,
+    parse_risk_spec,
 )
 from infconv.oracle import (
     BudgetError,
@@ -245,14 +251,181 @@ def test_brute_force_respects_explicit_knots():
 def test_brute_force_memory_does_not_grow_with_samples_times_chunk():
     # scoring a chunk through (samples, chunk) matrices peaks at about 188 MiB here
     m = empirical(draw(Uniform(-1.0, 1.0), 2000, RngSeed(1, 0)))
-    tracemalloc.start()
-    try:
-        got = brute_force_infconv(Entropic(2.0), Entropic(3.0), m, segments=6, levels=4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got.evaluations == 5**7
-    assert peak < 16 * 2**20
+    for levels in (4, 8):
+        tracemalloc.start()
+        try:
+            got = brute_force_infconv(Entropic(2.0), Entropic(3.0), m, segments=6, levels=levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.evaluations == (levels + 1) ** 7
+        assert peak < 16 * 2**20
+
+
+_PAIRS = {
+    "lin": ("distortion(0.5*es(0.8)+0.5*es(0.7))", "es(0.9)"),
+    "ent": ("entropic(2)", "entropic(3)"),
+    "mix": ("mix(0.5*es(0.8)+0.5*entropic(1.0))", "entropic(0.5)"),
+}
+_PIN_KNOTS = np.array([-1.0, -0.6, -0.25, 0.0, 0.1, 0.5, 1.0])
+_PIN_CASES = {
+    "lin_6x4": ("lin", (-1.0, 1.0), dict(segments=6, levels=4)),
+    "ent_6x4": ("ent", (-1.0, 1.0), dict(segments=6, levels=4)),
+    "lin_6x8": ("lin", (-1.0, 1.0), dict(segments=6, levels=8)),
+    "ent_6x8": ("ent", (-1.0, 1.0), dict(segments=6, levels=8)),
+    # 0 is the first knot, then the last
+    "mix_positive": ("mix", (0.1, 1.0), dict(segments=6, levels=4)),
+    "mix_negative": ("mix", (-1.0, -0.1), dict(segments=6, levels=4)),
+    "mix_6x4": ("mix", (-1.0, 1.0), dict(segments=6, levels=4)),
+    "mix_knots": ("mix", (-1.0, 1.0), dict(levels=3, knots=_PIN_KNOTS)),
+    "ent_one_segment": ("ent", (-1.0, 1.0), dict(levels=8, knots=np.array([0.0, 1.0]))),
+}
+# float.hex of (value, slopes, evaluations); a change to how candidates are
+# scored must leave every bit, tie choice and count as it is
+_BRUTE_PINS = {
+    "lin_6x4": (
+        "0x1.cee14bd68770dp-4",
+        [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        78125,
+    ),
+    "ent_6x4": (
+        "0x1.71946f6aaba00p-5",
+        [
+            "0x1.0000000000000p-1", "0x1.0000000000000p-2", "0x1.0000000000000p-1", "0x0.0p+0",
+            "0x1.0000000000000p-1", "0x1.0000000000000p-2", "0x1.0000000000000p-1",
+        ],
+        78125,
+    ),
+    "lin_6x8": (
+        "0x1.cee14bd68770dp-4",
+        [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        4782969,
+    ),
+    "ent_6x8": (
+        "0x1.711f431f54600p-5",
+        [
+            "0x1.8000000000000p-2", "0x1.8000000000000p-2", "0x1.0000000000000p-1", "0x0.0p+0",
+            "0x1.8000000000000p-2", "0x1.8000000000000p-2", "0x1.8000000000000p-2",
+        ],
+        4782969,
+    ),
+    "mix_positive": (
+        "-0x1.0373636f03f53p-1",
+        [
+            "0x1.0000000000000p+0", "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0",
+            "0x1.0000000000000p-2", "0x0.0p+0", "0x0.0p+0",
+        ],
+        78125,
+    ),
+    "mix_negative": (
+        "0x1.2fbfcfc42f3e7p-1",
+        [
+            "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0", "0x1.0000000000000p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        78125,
+    ),
+    "mix_6x4": (
+        "0x1.219dae31a0d72p-3",
+        [
+            "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        78125,
+    ),
+    "mix_knots": (
+        "0x1.2322899a149bbp-3",
+        [
+            "0x1.5555555555555p-1", "0x1.0000000000000p+0", "0x1.5555555555555p-1", "0x1.5555555555555p-1",
+            "0x1.5555555555555p-1", "0x0.0p+0",
+        ],
+        4096,
+    ),
+    "ent_one_segment": (
+        "0x1.71a00ea4c4100p-5",
+        [
+            "0x1.8000000000000p-2",
+        ],
+        9,
+    ),
+}
+_REFINE_PINS = {
+    "refine_lin": (
+        "0x1.cee14bd68770dp-4",
+        [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0",
+        ],
+        109,
+    ),
+    "refine_ent": (
+        "0x1.715e8eb7f3c00p-5",
+        [
+            "0x1.0000000000000p-1", "0x1.8000000000000p-2", "0x1.8000000000000p-2", "0x1.0000000000000p-3",
+            "0x1.0000000000000p-1", "0x1.8000000000000p-2",
+        ],
+        217,
+    ),
+    "refine_mix": (
+        "0x1.2227ee0833fd5p-3",
+        [
+            "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0", "0x1.c000000000000p-1",
+            "0x1.0000000000000p-1", "0x0.0p+0",
+        ],
+        325,
+    ),
+}
+_OBJECTIVE_PINS = {
+    "objective_lin": ["0x1.72b375363617ep-3", "0x1.c0a7214d1f31ep-3", "0x1.7b14052dfe170p-3"],
+    "objective_ent": ["0x1.7a025714d1700p-5", "0x1.7bbf7b51acf00p-5", "0x1.8db2887de8900p-5"],
+    "objective_mix": ["0x1.5f38b6f5b8e39p-3", "0x1.39a22f2b6388ep-3", "0x1.5af993f66b224p-3"],
+}
+
+
+def _pair(name):
+    return tuple(parse_risk_spec(text) for text in _PAIRS[name])
+
+
+def _pinned(result):
+    return result.value.hex(), [float(s).hex() for s in result.slopes], result.evaluations
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_CASES))
+def test_brute_force_bits_are_pinned(case):
+    pair, (lo, hi), kwargs = _PIN_CASES[case]
+    m = empirical(draw(Uniform(lo, hi), 2000, RngSeed(1, 0)))
+    got = brute_force_infconv(*_pair(pair), m, **kwargs)
+    assert _pinned(got) == _BRUTE_PINS[case]
+
+
+def test_refine_and_objective_bits_are_pinned():
+    m = empirical(draw(Uniform(-1.0, 1.0), 2000, RngSeed(1, 0)))
+    rng = np.random.default_rng(7)
+    for pair in ("lin", "ent", "mix"):
+        start = GridAllocation(_PIN_KNOTS, rng.uniform(size=_PIN_KNOTS.size - 1))
+        refined = coordinate_descent_refine(*_pair(pair), m, start, levels=8)
+        assert _pinned(refined) == _REFINE_PINS[f"refine_{pair}"]
+        slopes = rng.uniform(size=(3, _PIN_KNOTS.size - 1))
+        values = [oracle_objective(*_pair(pair), m, _PIN_KNOTS, row).hex() for row in slopes]
+        assert values == _OBJECTIVE_PINS[f"objective_{pair}"]
+
+
+@pytest.mark.parametrize("segments, levels", [(14, 1), (7, 4)])
+def test_brute_force_exact_ties_keep_the_last_candidate_across_blocks(segments, levels):
+    # es(0.5) against itself: the two gains cancel to 0.0, so every candidate
+    # ties exactly and the lexicographically last one, all slopes 1, must win
+    m = empirical(draw(Uniform(-1.0, 1.0), 2000, RngSeed(1, 0)))
+    es = ExpectedShortfall(0.5)
+    got = brute_force_infconv(es, es, m, segments=segments, levels=levels)
+    assert got.evaluations == (levels + 1) ** (segments + 1)
+    assert np.all(got.slopes == 1.0)
+    assert got.value == eval_es(m, 0.5)
 
 
 def test_brute_force_budget_error_suggests_refinement():
@@ -353,3 +526,19 @@ def test_coordinate_descent_validation():
         coordinate_descent_refine(Entropic(2.0), Entropic(3.0), m, start, levels=0)
     with pytest.raises(ValueError):
         coordinate_descent_refine(Entropic(2.0), Entropic(3.0), m, start, sweeps=0)
+
+
+# ---------------------------------------------------------------------- demo
+
+
+def test_brute_force_demo_runs_without_warnings():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "brute_force_oracle.py"
+    src = str(Path(infconv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "es pair: 78125 candidates evaluated" in done.stdout

@@ -12,7 +12,7 @@ import itertools
 import json
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
@@ -221,7 +221,11 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 def distributions(draw):
     kind = draw(st.sampled_from(["uniform", "truncnormal", "negbeta"]))
     if kind == "negbeta":
-        return NegBeta(draw(positive), draw(positive))
+        # any positive shapes; those the constructor rejects are skipped
+        try:
+            return NegBeta(draw(positive), draw(positive))
+        except ValueError:
+            reject()
     if kind == "truncnormal":
         # at most 5 sd from the mean, so the interval's mass stays far above
         # what TruncNormal rejects
@@ -240,27 +244,22 @@ def test_distribution_render_parses_back(dist):
 
 
 seeds = st.integers(0, 2**64 - 1)
-# NegBeta shapes of 0.01 to 100; far larger ones draw NaN (betaincinv)
-sampler_distributions = st.one_of(
-    distributions().filter(lambda dist: not isinstance(dist, NegBeta)),
-    st.builds(NegBeta, st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
-)
 
 
-@given(sampler_distributions, seeds, seeds)
+@given(distributions(), seeds, seeds)
 def test_draws_lie_inside_the_support(dist, seed, stream):
     lo, hi = support(dist)
     xs = draw(dist, 1000, RngSeed(seed, stream))
-    assert np.all((xs >= lo) & (xs <= hi))
+    assert np.all((xs >= lo) & (xs <= hi))  # false for NaN
 
 
-@given(sampler_distributions, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50))
+@given(distributions(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50))
 def test_quantile_is_monotone(dist, us):
     qs = quantile(dist, np.sort(us))
     assert np.all(np.diff(qs) >= 0.0)
 
 
-@given(sampler_distributions, st.integers(1, 5000))
+@given(distributions(), st.integers(1, 5000))
 def test_stratified_sample_is_the_quantile_at_stratum_midpoints(dist, n):
     want = quantile(dist, (np.arange(n) + 0.5) / n)
     assert stratified_sample(dist, n).tobytes() == want.tobytes()

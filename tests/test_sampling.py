@@ -1,5 +1,6 @@
 """Distributions, seeded draws, stratified grids, and Wasserstein distances."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -77,6 +78,19 @@ def test_negbeta_draw_statistics():
     xs = draw(NegBeta(2.0, 5.0), 20000, RngSeed(3, 0))
     assert np.all(xs <= 0.0) and np.all(xs >= -1.0)
     assert abs(xs.mean() + 2.0 / 7.0) < 0.01
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1e155), (50.0, 1e155), (1e16, 1e20), (1e8 * (1 + 2**-52), 1.0)])
+def test_negbeta_rejects_shapes_without_finite_quantiles(a, b):
+    # the first three draw NaN through betaincinv
+    with pytest.raises(ValueError, match="beta shape parameters"):
+        NegBeta(a, b)
+
+
+@pytest.mark.parametrize("a, b", itertools.product([5e-324, 1.0, 1e8], repeat=2))
+def test_negbeta_at_the_shape_bounds_draws_inside_the_support(a, b):
+    xs = draw(NegBeta(a, b), 1000, RngSeed(3, 0))
+    assert np.all(np.isfinite(xs) & (xs >= -1.0) & (xs <= 0.0))
 
 
 @pytest.mark.parametrize("lo, hi", [(-10.0, -9.0), (9.0, 10.0)])
