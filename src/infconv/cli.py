@@ -492,16 +492,17 @@ def compare_reports(paths: list[str | Path]) -> str:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read report {path}: {exc}") from exc
         try:
+            rel = data["relative_error"]
             rows.append(
                 {
                     "name": data["name"],
                     "activation": data["config"]["activation"],
                     "mean_loss": float(data["final_loss_mean"]),
                     "std_loss": float(data["final_loss_std"]),
-                    "rel_error": data["relative_error"],
+                    "rel_error": None if rel is None else float(rel),
                 }
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"report {path} has an incompatible schema: {exc}") from exc
 
     group_min: dict[str, float] = {}

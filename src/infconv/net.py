@@ -8,11 +8,16 @@ its memory does not grow with the layer width times the batch size, and
 splits long batches' blocks over threads; value_and_grad keeps every
 activation of its batch for the pullback.  The rule that sizes those threads
 also sizes the ensemble's member threads in ``sharing``.
+
+forward and training (in ``sharing``) hold numpy's OpenBLAS at one thread,
+so no output bit depends on the host's CPU count or its BLAS variables.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
 import json
 import os
 import threading
@@ -163,40 +168,84 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """Threads one BLAS call may use, as OpenBLAS reads them at start-up:
-    the first positive count among its variables, else one per usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return _usable_cpus()
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy itself loaded,
+    or None where numpy links another BLAS or has no ``numpy._core``."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _OneBlasThread:
+    """Context manager that holds numpy's OpenBLAS at one thread.  Uses may
+    overlap, on any thread: the first sets one thread, the last to leave
+    restores the count the first found.  The count is process-wide, so other
+    threads' BLAS calls run on one thread meanwhile.  Does nothing where
+    _openblas finds no OpenBLAS."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._users = 0
+        self._restore = 0
+
+    def __enter__(self) -> None:
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                if not self._users:
+                    self._restore = blas[0]()
+                    blas[1](1)
+                self._users += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                self._users -= 1
+                if not self._users:
+                    blas[1](self._restore)
+
+
+# One for the process, as the BLAS thread count it guards is one per process.
+_one_blas_thread = _OneBlasThread()
 
 
 def _workers(tasks: int, work: int) -> int:
     """Threads for ``tasks`` independent pieces whose numpy calls each do
-    ``work`` (rows times the widest layer): min(tasks, usable CPUs // BLAS
-    threads) from _PARALLEL_MIN_WORK on, else 1.  Dividing by the BLAS threads
-    keeps concurrent BLAS calls from oversubscribing the CPUs: on 2 CPUs with
-    2 BLAS threads, two member threads took 1.37x the serial time."""
-    workers = min(tasks, _usable_cpus() // _blas_threads())
-    return workers if workers >= 2 and work >= _PARALLEL_MIN_WORK else 1
+    ``work`` (rows times the widest layer): min(tasks, usable CPUs) from
+    _PARALLEL_MIN_WORK on, else 1.  _in_threads pins BLAS to one thread, so
+    they do not oversubscribe the CPUs; where it cannot, 1."""
+    if work < _PARALLEL_MIN_WORK or _openblas() is None:
+        return 1
+    return max(1, min(tasks, _usable_cpus()))
 
 
 def _in_threads(work: Callable[[int], None], workers: int, name: str) -> None:
     """Run work(0) in the calling thread beside work(1), ..., work(workers - 1)
-    on daemon helpers, and wait for the helpers.
+    on daemon helpers, and wait for the helpers, all with BLAS pinned to one
+    thread (_one_blas_thread), at any worker count.
 
     Each helper runs in a copy of the caller's context, so numpy's errstate
     holds there too.  A helper's exception is raised here once all helpers
     have ended, the lowest worker's first; one from work(0) propagates at
-    once, so an interrupted caller does not wait for the helpers.
+    once, so an interrupted caller does not wait for the helpers, which keep
+    the pin until they end.
     """
     failed: list[Exception | None] = [None] * workers
 
     def guarded(j: int) -> None:
         try:
-            work(j)
+            with _one_blas_thread:
+                work(j)
         except Exception as exc:  # re-raised in the calling thread below
             failed[j] = exc
 
@@ -207,11 +256,12 @@ def _in_threads(work: Callable[[int], None], workers: int, name: str) -> None:
         )
         for j in range(1, workers)
     ]
-    for thread in helpers:
-        thread.start()
-    work(0)
-    for thread in helpers:
-        thread.join()
+    with _one_blas_thread:
+        for thread in helpers:
+            thread.start()
+        work(0)
+        for thread in helpers:
+            thread.join()
     for exc in failed:
         if exc is not None:
             raise exc
@@ -225,8 +275,8 @@ def forward(mlp: Mlp, xs: np.ndarray) -> np.ndarray:
     batch of two or more blocks at width 32 or more (the _workers rule) splits
     its blocks into contiguous runs, one per thread, all writing into one
     output.  The blocks do not move, so every output bit is the same as on
-    one thread.  While BLAS may use every CPU itself, as it does by default,
-    the pass stays on the calling thread.
+    one thread.  The pass runs with BLAS pinned to one thread, so its bits do
+    not depend on the host's BLAS thread count either.
     """
     xs = _check_batch(xs)
     layers = _layers(mlp.params, mlp.widths)

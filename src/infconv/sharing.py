@@ -197,14 +197,17 @@ def train_member(
 
     Randomness is split by stream: member k initializes its networks from
     streams 4k+1 and 4k+2 and shuffles batches from stream 4k+3, so members
-    are independent while the data sample (stream 0) is shared.
+    are independent while the data sample (stream 0) is shared.  Training
+    holds BLAS at one thread, as train_ensemble does (net._one_blas_thread),
+    so the bytes are the same as those of the ensemble's member.
     """
     epochs = _member_epochs(samples, spec1, spec2, config, member)
-    while True:
-        try:
-            next(epochs)
-        except StopIteration as done:
-            return done.value
+    with net._one_blas_thread:
+        while True:
+            try:
+                next(epochs)
+            except StopIteration as done:
+                return done.value
 
 
 def _member_epochs(
@@ -348,14 +351,18 @@ def train_ensemble(
     together, in member order, so one diverging member does not hide another.
 
     Members train on net._workers(ensemble_size, batch_size * max(hidden
-    widths)) threads, the calling thread and daemon helpers: concurrently
-    from a batch of 2**15 rows times width on, when BLAS leaves CPUs free.  Worker j starts member j; then
-    each worker, after each epoch, puts its member back in a queue and takes
-    the member that has waited longest, so every worker stays busy until the
-    last epoch.  A member's epochs still run one at a time and in order, it
-    depends only on its own streams, and every numpy call gives the same bits
-    in any thread, so the result is byte-identical to training the members
-    one after another.  A TrainingError ends only its member.  Any other
+    widths)) threads, the calling thread and daemon helpers: concurrently,
+    on min(ensemble_size, usable CPUs), from a batch of 2**15 rows times
+    width on.  Training holds numpy's BLAS at one thread, at any worker
+    count, and restores the caller's count on return; the count is
+    process-wide, so other threads' BLAS calls run on one thread meanwhile.
+    Worker j starts member j; then each worker, after each epoch, puts its
+    member back in a queue and takes the member that has waited longest, so
+    every worker stays busy until the last epoch.  A member's epochs still
+    run one at a time and in order, it depends only on its own streams, and
+    every numpy call gives the same bits in any thread, so the result is
+    byte-identical to training the members one after another, on any host
+    with the same numpy build.  A TrainingError ends only its member.  Any other
     error is re-raised here, the lowest member's first; members above it
     stop training, members below it go on, since they might fail first.  An
     interrupted caller leaves each helper to finish at most its current

@@ -525,10 +525,16 @@ def test_compare_single_report_and_out_dir(tmp_path, capsys):
 
 def test_compare_rejects_incompatible_schema(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps({"name": "x", "config": {}}), encoding="utf-8")
-    with pytest.raises(ConfigError, match="incompatible schema"):
-        compare_reports([path])
-    assert main(["compare", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for report in (
+        {"name": "x", "config": {}},
+        _fake_report("x", "relu", "abc", 0.0, None),
+        _fake_report("x", "relu", 0.1, "abc", None),
+        _fake_report("x", "relu", 0.1, 0.0, "oops"),
+    ):
+        path.write_text(json.dumps(report), encoding="utf-8")
+        with pytest.raises(ConfigError, match="incompatible schema"):
+            compare_reports([path])
+        assert main(["compare", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="at least one report"):
         compare_reports([])

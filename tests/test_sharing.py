@@ -333,10 +333,9 @@ WIDE = TrainConfig(
     hidden_widths=(64, 64),
     base_seed=4,
 )
-# In a fresh interpreter that counts 4 CPUs, so that 2 BLAS threads leave
-# room for 2 workers: prints the digest of every member of WIDE's ensemble and
-# of its first share on 200,001 points, then the same digests with the members
-# trained and evaluated on one thread (2 CPUs leave room for 1 worker).
+# In a fresh interpreter that counts 2 CPUs: prints the digest of every member
+# of WIDE's ensemble and of its first share on 200,001 points, then the same
+# digests with the members trained and evaluated on one thread (1 CPU).
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -347,10 +346,10 @@ xs = draw(Uniform(-1.0, 1.0), cfg.n_samples, RngSeed(cfg.base_seed, 0))
 grid = np.linspace(-1.0, 1.0, 200_001)
 def digest(*parts):
     print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
-net._usable_cpus = lambda: 4
+net._usable_cpus = lambda: 2
 members = train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg).allocation.members
 firsts = [EnsembleAllocation(members).first(grid)]
-net._usable_cpus = lambda: 2
+net._usable_cpus = lambda: 1
 serial = [train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=k) for k in range(len(members))]
 firsts.append(EnsembleAllocation(tuple(serial)).first(grid))
 for ms, first in ((members, firsts[0]), (serial, firsts[1])):
@@ -360,9 +359,10 @@ for ms, first in ((members, firsts[0]), (serial, firsts[1])):
 """
 
 
-def _workers(monkeypatch, cpus, blas_threads=1):
+def _workers(monkeypatch, cpus):
+    if net._openblas() is None:
+        pytest.skip("numpy's BLAS cannot be pinned, so members train on one thread")
     monkeypatch.setattr(net, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(net, "_blas_threads", lambda: blas_threads)
 
 
 def _assert_members_match_serial(cfg):
@@ -388,12 +388,14 @@ def test_concurrent_members_match_serial_bytes(monkeypatch, size, hidden):
 def test_more_threads_than_cores_with_fast_switching(monkeypatch):
     # four workers for five members, switching threads every microsecond
     _workers(monkeypatch, cpus=4)
+    blas_threads = net._openblas()[0]()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         _assert_members_match_serial(replace(WIDE, ensemble_size=5, epochs=1))
     finally:
         sys.setswitchinterval(interval)
+    assert net._openblas()[0]() == blas_threads  # the last of the pin's users restored it
 
 
 def _hooked_epochs(monkeypatch, before_epoch):
@@ -436,9 +438,9 @@ def _epochs_by_thread(monkeypatch, cfg):
 SHORT_EPOCHS = replace(WIDE, n_samples=1000, epochs=4)
 
 
-@pytest.mark.parametrize("cpus, blas_threads, workers", [(2, 1, 2), (3, 1, 3), (8, 2, 4), (2, 2, 1)])
-def test_worker_j_starts_member_j_then_takes_waiting_members(monkeypatch, cpus, blas_threads, workers):
-    _workers(monkeypatch, cpus, blas_threads)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_j_starts_member_j_then_takes_waiting_members(monkeypatch, workers):
+    _workers(monkeypatch, cpus=workers)
     trained = _epochs_by_thread(monkeypatch, replace(SHORT_EPOCHS, ensemble_size=workers + 1))
     members_of = {}
     for member, thread in trained:
@@ -470,21 +472,88 @@ def test_narrow_configs_train_in_the_calling_thread(monkeypatch):
         train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), replace(cfg, epochs=1))
 
 
-def test_blas_threads_follow_the_blas_variables(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(net, "_usable_cpus", lambda: 6)
-    assert net._blas_threads() == 6
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")  # not read by OpenBLAS
-    assert net._blas_threads() == 6
-    monkeypatch.setenv("OMP_NUM_THREADS", "4,2")  # a nested list is not a count
-    assert net._blas_threads() == 6
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert net._blas_threads() == 3
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
-    assert net._blas_threads() == 3
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert net._blas_threads() == 1
+def test_without_a_pinnable_blas_nothing_is_pinned_and_work_stays_serial(monkeypatch):
+    # numpy linked to another BLAS, or without numpy._core
+    real = net._openblas()
+    counts = []
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(net, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(net, "_openblas", lambda: None)
+    monkeypatch.setattr(net.threading, "Thread", no_threads)
+    _hooked_epochs(monkeypatch, lambda member: counts.append(real and real[0]()))
+    assert net._workers(3, 2**20) == 1
+    cfg = replace(WIDE, epochs=1)
+    result = train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    result.allocation.first(np.zeros(3 * 1024))
+    assert len(counts) == 3 and len(set(counts)) == 1
+    assert counts[0] == (real and real[0]())  # the count training found, not a pin
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_pins_blas_to_one_thread_and_restores_the_callers_count(monkeypatch):
+    _workers(monkeypatch, cpus=2)
+    get, set_ = net._openblas()
+    readings = []
+    callers, met = {threading.main_thread()}, set()
+    overlapping = threading.Barrier(2, timeout=30)
+
+    def recording(member):
+        readings.append(get())
+        if member == 1 and failing:
+            raise ValueError("member 1 is broken")
+        me = threading.current_thread()
+        if me in callers and me not in met:  # each caller's first epoch waits for the other's
+            met.add(me)
+            overlapping.wait()
+
+    _hooked_epochs(monkeypatch, recording)
+    activate = net._activate
+
+    def recording_activate(z, activation):
+        readings.append(get())
+        return activate(z, activation)
+
+    monkeypatch.setattr(net, "_activate", recording_activate)
+    cfg = replace(WIDE, epochs=1)
+    xs = tiny_samples(cfg)
+    initial = get()
+    set_(2)
+    caller = get()  # the count to restore, 2 unless the host caps it at 1
+    try:
+        failing = False
+        met.update(callers)  # no waiting while one call runs alone
+        train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg)
+        assert get() == caller
+        member = train_member(xs, Entropic(2.0), Entropic(3.0), cfg)
+        assert get() == caller
+        forward(member.phi1, np.zeros(3 * 1024))
+        assert get() == caller
+        with pytest.raises(EnsembleError):
+            train_ensemble(xs, Entropic(1.0), Entropic(2.0), replace(cfg, learning_rate=1e300))
+        assert get() == caller
+        failing = True
+        with pytest.raises(ValueError, match="member 1 is broken"):
+            train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg)
+        assert get() == caller
+
+        # two calls overlap; the one that ends first must leave the other pinned
+        failing = False
+        met.clear()
+        other = threading.Thread(
+            target=train_ensemble, args=(xs, Entropic(2.0), Entropic(3.0), replace(cfg, epochs=3)),
+        )
+        callers.add(other)
+        other.start()
+        train_ensemble(xs, Entropic(2.0), Entropic(3.0), cfg)
+        other.join(timeout=60)
+        assert not other.is_alive() and met == callers
+        assert get() == caller
+    finally:
+        set_(initial)
+    assert len(readings) > 0 and set(readings) == {1}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -556,22 +625,24 @@ def test_an_interrupt_in_the_caller_is_not_held_up(monkeypatch):
 
 
 def test_concurrent_members_match_serial_bytes_with_two_blas_threads():
-    # the BLAS thread count may change the bits; concurrency must not
+    # neither concurrency nor the BLAS variables may change the bits
     src = str(Path(infconv.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="2",
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     config = {f.name: getattr(WIDE, f.name) for f in fields(WIDE)}
-    done = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT.format(config=config)],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    digests = done.stdout.split()
-    assert len(digests) == 2 * (WIDE.ensemble_size + 1)
-    assert digests[: WIDE.ensemble_size + 1] == digests[WIDE.ensemble_size + 1 :]
+    runs = []
+    for threads in (None, "1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT.format(config=config)],
+            capture_output=True, text=True, timeout=120, check=False,
+            env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert done.returncode == 0, done.stderr
+        digests = done.stdout.split()
+        assert len(digests) == 2 * (WIDE.ensemble_size + 1)
+        assert digests[: WIDE.ensemble_size + 1] == digests[WIDE.ensemble_size + 1 :]
+        runs.append(digests)
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
