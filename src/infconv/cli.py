@@ -50,7 +50,6 @@ from .sampling import (
 from .sharing import (
     EnsembleError,
     TrainConfig,
-    l2_error,
     pair_loss,
     train_ensemble,
 )
@@ -301,6 +300,7 @@ class ExperimentReport:
     relative_error: float | None
     relative_error_std: float | None
     l2_allocation_error: float | None
+    allocation_cash_offset: float | None
     oracle_value: float | None
     oracle_slopes: list[float] | None
     oracle_evaluations: int | None
@@ -355,6 +355,18 @@ def _member_firsts(members, xs: np.ndarray) -> np.ndarray:
     return np.stack([m.first(xs) for m in members])
 
 
+def _l2_and_cash_offset(approx, exact, xs: np.ndarray) -> tuple[float, float]:
+    """Mean squared difference of two first-share maps over xs once their
+    mean difference c is taken out, and c.
+
+    The pooled risk is flat along cash transfers, so training fixes the first
+    share only up to a constant; c is that constant, not allocation error.
+    """
+    diff = approx.first(xs) - exact.first(xs)
+    offset = float(np.mean(diff))
+    return float(np.mean((diff - offset) ** 2)), offset
+
+
 def run_experiment(spec: ExperimentSpec):
     """Draw data, train the ensemble, evaluate all metrics.
 
@@ -389,10 +401,10 @@ def run_experiment(spec: ExperimentSpec):
         relative_error_std = float(rel.std())
 
     descriptor = analytic_allocation(spec.rho1, spec.rho2)
-    l2 = None
+    l2 = cash_offset = None
     if isinstance(descriptor, (ProportionalAllocation, CornerAllocation)):
         l2_xs = stratified_sample(spec.distribution, _L2_POINTS)
-        l2 = l2_error(result.allocation, descriptor, l2_xs)
+        l2, cash_offset = _l2_and_cash_offset(result.allocation, descriptor, l2_xs)
 
     lo, hi = support(spec.distribution)
     grid = np.linspace(lo, hi, _CURVE_POINTS)
@@ -413,6 +425,7 @@ def run_experiment(spec: ExperimentSpec):
         relative_error=relative_error,
         relative_error_std=relative_error_std,
         l2_allocation_error=l2,
+        allocation_cash_offset=cash_offset,
         oracle_value=None if oracle is None else oracle.value,
         oracle_slopes=None if oracle is None else [float(s) for s in oracle.slopes],
         oracle_evaluations=None if oracle is None else oracle.evaluations,

@@ -49,9 +49,11 @@ _BLOCK_ROWS = 1024
 
 # Work splits over threads only when rows per numpy call times the widest layer
 # reaches this, so that each call runs long outside the GIL.  On 2 CPUs with
-# 1 BLAS thread, 3 members of an entropic pair took 1.32x the serial time at
-# 8,000 (width 8, batch 1000), 1.15x at 16,000 and 0.78-0.92x at 25,600 to
-# 32,000; a spectral pair took 1.03x at 8,000 and 0.88x at 16,000.
+# 1 BLAS thread, 3 members on batches of 1000 sorted rows took, as a median
+# of 5 concurrent/serial ratios, 1.76x the serial time at 8,000 (width 8),
+# 1.10x at 16,000 and 1.13x at 24,000 on an entropic pair, and 1.39x, 1.08x
+# and 0.94x on a spectral pair; at 32,768 (batch 1024, width 32) they took
+# 0.81x and 0.84x.
 _PARALLEL_MIN_WORK = 2**15
 
 

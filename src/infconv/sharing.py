@@ -197,7 +197,11 @@ def train_member(
 
     Randomness is split by stream: member k initializes its networks from
     streams 4k+1 and 4k+2 and shuffles batches from stream 4k+3, so members
-    are independent while the data sample (stream 0) is shared.  Training
+    are independent while the data sample (stream 0) is shared.  Each drawn
+    batch is sorted ascending before the networks see it: the loss and its
+    gradient do not depend on row order, and sorted rows keep the risk
+    kernel's argsorts near linear; only the order in which the pullback sums
+    rows, and so the last digits, depend on it.  Training
     holds BLAS at one thread, as train_ensemble does (net._one_blas_thread),
     so the bytes are the same as those of the ensemble's member.
     """
@@ -246,7 +250,9 @@ def _member_epochs(
         order = shuffler.permutation(config.n_samples)
         batch_losses = []
         for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
-            xb = samples[order[start : start + config.batch_size]]
+            # the loss ignores row order; sorted rows come out of the networks
+            # in a few monotone runs, which keeps the risk kernel's argsorts cheap
+            xb = np.sort(samples[order[start : start + config.batch_size]])
             v1, pull1 = value_and_grad(phi1, xb)
             v2, pull2 = value_and_grad(phi2, xb)
             if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):

@@ -12,9 +12,12 @@ import pytest
 
 import infconv
 from infconv import (
+    CornerAllocation,
     Entropic,
     NegBeta,
+    ProportionalAllocation,
     Uniform,
+    stratified_sample,
 )
 from infconv import cli, sharing
 from infconv.cli import (
@@ -221,6 +224,7 @@ def test_run_command_writes_stable_files(tmp_path, capsys):
         "final_loss_mean", "final_loss_std", "ensemble_final_loss",
         "eval_loss_mean", "eval_loss_std", "ensemble_eval_loss",
         "analytic_infimum", "relative_error", "relative_error_std", "l2_allocation_error",
+        "allocation_cash_offset",
         "oracle_value", "oracle_slopes", "oracle_evaluations", "allocation_curve",
     ]
     assert list(report["config"]) == [
@@ -278,6 +282,32 @@ def test_run_evaluates_each_network_once_per_point_set(monkeypatch):
     assert report.l2_allocation_error is not None
     members = spec.train.ensemble_size
     assert sizes == {400: 2 * members, 200_001: 2 * members, 10_001: 2 * members, 401: 2 * members}
+
+
+class _Shifted:
+    """An allocation whose first share is exact's plus shift(x)."""
+
+    def __init__(self, exact, shift):
+        self.exact, self.shift = exact, shift
+
+    def first(self, xs):
+        return self.exact.first(xs) + self.shift(xs)
+
+
+@pytest.mark.parametrize("exact", [ProportionalAllocation(0.4), CornerAllocation(True), CornerAllocation(False)])
+@pytest.mark.parametrize("c", [-0.75, 0.0, 0.3, 2.5])
+def test_allocation_error_profiles_out_the_cash_constant(exact, c):
+    # a cash transfer leaves the pooled risk unchanged, so an exact share
+    # shifted by c has no allocation error, only the offset c
+    xs = stratified_sample(Uniform(-1.0, 1.0), 10_001)
+    error, offset = cli._l2_and_cash_offset(_Shifted(exact, lambda t: c), exact, xs)
+    assert error < 1e-28
+    assert abs(offset - c) < 1e-15
+    # with a shape error as well, the plain l2_error is the profiled error plus c**2
+    bent = _Shifted(exact, lambda t: c + 0.1 * t**2)
+    error, offset = cli._l2_and_cash_offset(bent, exact, xs)
+    assert error > 1e-4
+    assert abs(error + offset**2 - sharing.l2_error(bent, exact, xs)) < 1e-15
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

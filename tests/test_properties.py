@@ -12,6 +12,7 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
@@ -27,6 +28,7 @@ from infconv import (
     Spectral,
     TruncNormal,
     Uniform,
+    batch_loss_and_cotangents,
     empirical,
     es_spectral_density,
     eval_entropic,
@@ -79,11 +81,12 @@ def spectral_densities(draw):
 
 
 @st.composite
-def specs(draw, spectral=True, depth=1, betas=tolerances):
+def specs(draw, spectral=True, depth=1, betas=tolerances, kind=None):
+    """A random spec; ``kind`` fixes the top level's kind."""
     kinds = ["entropic", "es", "distortion"] + (["spectral"] if spectral else [])
     if depth < MAX_DEPTH:
         kinds.append("mix")
-    kind = draw(st.sampled_from(kinds))
+    kind = kind or draw(st.sampled_from(kinds))
     if kind == "entropic":
         return Entropic(draw(betas))
     if kind == "es":
@@ -199,6 +202,31 @@ def test_brute_force_matches_naive_enumeration_of_sorted_risk(spec1, spec2, xs, 
     assert _close(got.value, best, 1e-12)
     if len(order) > 1 and naive[order[1]] - best > 1e-12 * max(1.0, abs(best)):
         assert np.array_equal(got.slopes, combos[order[0]])
+
+
+@st.composite
+def distinct_batches(draw):
+    """(xs, v1, v2) of one length whose four loss vectors v1, v2, xs - v2 and
+    xs - v1 each hold distinct values, so that no tie orders the weights."""
+    n = draw(st.integers(1, 30))
+    vector = st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n, unique=True).map(np.array)
+    xs, v1, v2 = draw(vector), draw(vector), draw(vector)
+    assume(all(np.unique(v).size == n for v in (xs - v1, xs - v2)))
+    return xs, v1, v2
+
+
+@pytest.mark.parametrize("kind", ["entropic", "es", "distortion", "spectral", "mix"])
+@given(data=st.data())
+def test_batch_loss_ignores_row_order(kind, data):
+    # training feeds sorted batches; the loss must not see the difference
+    spec1, spec2 = data.draw(specs(kind=kind)), data.draw(specs(kind=kind))
+    xs, v1, v2 = data.draw(distinct_batches())
+    perm = np.array(data.draw(st.permutations(range(xs.size))))
+    loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xs, v1, v2)
+    p_loss, p_cot1, p_cot2 = batch_loss_and_cotangents(spec1, spec2, xs[perm], v1[perm], v2[perm])
+    assert p_loss.hex() == loss.hex()
+    assert p_cot1.tobytes() == cot1[perm].tobytes()
+    assert p_cot2.tobytes() == cot2[perm].tobytes()
 
 
 @given(specs(), samples, st.floats(-5.0, 5.0))

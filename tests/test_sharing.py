@@ -34,6 +34,7 @@ from infconv import (
     forward,
     init_mlp,
     l2_error,
+    make_generator,
     metric_d,
     metric_d_mu,
     pair_loss,
@@ -206,6 +207,36 @@ def test_training_is_deterministic():
     assert np.array_equal(a.losses, b.losses)
     c = train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=1)
     assert not np.array_equal(a.losses, c.losses)
+
+
+def test_training_sees_each_drawn_batch_sorted(monkeypatch):
+    # stream 4k+3's permutation picks each batch's rows, and the networks see
+    # them in ascending order; 1000 rows in batches of 300 end in a batch of 100
+    cfg = TrainConfig(n_samples=1000, batch_size=300, epochs=2, hidden_widths=(8,), base_seed=6)
+    xs = draw(U, cfg.n_samples, RngSeed(cfg.base_seed, 0))
+    seen = []
+    real = sharing.value_and_grad
+
+    def recording(mlp, batch):
+        seen.append(np.array(batch))
+        return real(mlp, batch)
+
+    monkeypatch.setattr(sharing, "value_and_grad", recording)
+    member = 2
+    train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=member)
+
+    shuffler = make_generator(RngSeed(cfg.base_seed, 4 * member + 3))
+    want = []
+    for _ in range(cfg.epochs):
+        perm = shuffler.permutation(cfg.n_samples)
+        for start in range(0, cfg.n_samples, cfg.batch_size):
+            batch = np.sort(xs[perm[start : start + cfg.batch_size]])
+            want += [batch, batch]  # one pass per network
+    assert [b.size for b in want] == [300, 300, 300, 300, 300, 300, 100, 100] * cfg.epochs
+    assert len(seen) == len(want)
+    for got, expected in zip(seen, want):
+        assert np.all(np.diff(got) >= 0.0)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_training_requires_matching_sample_size():
