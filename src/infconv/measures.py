@@ -7,9 +7,8 @@ cash additive, monotone and convex; values depend on the sorted sample only.
 All evaluation runs through one kernel.  ``leaves`` flattens a spec into
 weighted entropic, shortfall and spectral leaves; a compile step, cached per
 spec and sample size, sums the order-statistic weights of the linear leaves;
-``sorted_risk`` then values (and differentiates) an ascending sample, or each
-column of a matrix of them, as that weighting plus one log-mean-exp per
-entropic leaf.
+``sorted_risk`` then values (and differentiates) an ascending sample vector
+as that weighting plus one log-mean-exp per entropic leaf.
 
 ``parse_risk_spec`` reads text such as ``mix(0.5*es(0.8)+0.5*entropic(2.0))``
 by walking Python's expression tree without evaluating it; distributions in
@@ -188,15 +187,16 @@ def _nesting_depth(spec: RiskMeasure) -> int:
     return 1
 
 
-def es_spectral_density(alpha: float, num_points: int = 201) -> Spectral:
-    """Spectral density ``u -> (1/alpha) * 1{u <= alpha}`` as a grid function.
+def es_spectral_density(alpha: float) -> Spectral:
+    """Spectral density ``u -> (1/alpha) * 1{u <= alpha}`` as a grid function
+    on 201 uniform points plus the jump.
 
     The downward jump at ``alpha`` is encoded by two grid points 1e-12 apart,
     which keeps the trapezoid integral within 1e-9 of one and makes the
     spectral evaluation agree with eval_es to the same precision.
     """
     alpha = _check_level("alpha", alpha)
-    base = np.linspace(0.0, 1.0, max(int(num_points), 101))
+    base = np.linspace(0.0, 1.0, 201)
     jump_hi = min(alpha + 1e-12, 1.0)
     grid = np.unique(np.concatenate([base, [alpha, jump_hi]]))
     values = np.where(grid <= alpha, 1.0 / alpha, 0.0)
@@ -400,27 +400,26 @@ def _compile(spec: RiskMeasure, n: int) -> tuple[np.ndarray | None, tuple[tuple[
 
 
 def sorted_risk(spec: RiskMeasure, xs: np.ndarray, grad: bool = False):
-    """Risk of an ascending sample vector, or of each ascending column of an
-    (n, k) matrix.
+    """Risk of an ascending sample vector.
 
     The value is the order-statistic weighting of the linear leaves plus a
     max-shifted log-mean-exp per entropic leaf.  With ``grad=True`` the
-    gradient with respect to the sorted values (same shape as ``xs``) is
-    returned too.  ``xs`` is trusted to be finite and sorted along axis 0.
+    gradient with respect to the sorted values is returned too.  ``xs`` is
+    trusted to be finite and sorted ascending.
     """
-    n = xs.shape[0]
+    n = xs.size
     linear, entropic = _compile(spec, n)
     value = 0.0 if linear is None else -(linear @ xs)
     if grad:
-        g = np.zeros(xs.shape)
+        g = np.zeros(n)
         if linear is not None:
-            g -= linear.reshape((n,) + (1,) * (xs.ndim - 1))
+            g -= linear
     for w, beta in entropic:
         e = xs / -beta
-        shift = e[0].copy()  # ascending, so row 0 carries the largest exponent
+        shift = e[0]  # ascending, so the first value carries the largest exponent
         e -= shift
         np.exp(e, out=e)
-        total = e.sum(axis=0)
+        total = e.sum()
         value = value + w * (beta * (shift + np.log(total) - np.log(n)))
         if grad:
             g -= w * (e / total)

@@ -106,10 +106,6 @@ class Mlp:
         self.params = params
 
     @property
-    def num_layers(self) -> int:
-        return len(self.widths) - 1
-
-    @property
     def weights(self) -> list[np.ndarray]:
         return [w for w, _ in _layers(self.params, self.widths)]
 

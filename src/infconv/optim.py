@@ -17,6 +17,12 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class OptimizerError(RuntimeError):
     """Raised on invalid gradients; the optimizer state is left unchanged."""
 
@@ -29,30 +35,13 @@ class AdamState:
     v: np.ndarray
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(
-    params: np.ndarray,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam(params: np.ndarray, lr: float) -> AdamState:
     if not np.isfinite(lr) or lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr!r}")
     params = np.asarray(params, dtype=np.float64)
-    return AdamState(
-        m=np.zeros_like(params),
-        v=np.zeros_like(params),
-        t=0,
-        lr=float(lr),
-        beta1=float(beta1),
-        beta2=float(beta2),
-        eps=float(eps),
-    )
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), t=0, lr=float(lr))
 
 
 def adam_step(
@@ -74,11 +63,11 @@ def adam_step(
         raise OptimizerError("non-finite gradient")
 
     t = state.t + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    new_params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
+    new_params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     return new_params, replace(state, m=m, v=v, t=t)
 
 

@@ -44,7 +44,7 @@ __all__ = [
     "coordinate_descent_refine",
 ]
 
-_DEFAULT_BUDGET = 10_000_000
+_BUDGET = 10_000_000
 _CHUNK = 4096
 
 
@@ -279,15 +279,15 @@ def brute_force_infconv(
     segments: int = 6,
     levels: int = 5,
     knots: np.ndarray | None = None,
-    budget: int = _DEFAULT_BUDGET,
 ) -> OracleResult:
     """Enumerate slope vectors on a level grid and keep the best candidate.
 
     Each segment slope ranges over {0, 1/levels, ..., 1}, i.e. levels+1 grid
     values; the candidate count (levels+1)**segments must stay within
-    ``budget``.  Candidates are visited in lexicographic slope order and exact
-    ties keep the last (lexicographically largest) vector, so a segment that
-    neither measure weighs stays with the first agent.  Pass explicit
+    10,000,000, else BudgetError.  Candidates are visited in lexicographic
+    slope order and exact ties keep the last (lexicographically largest)
+    vector, so a segment that neither measure weighs stays with the first
+    agent.  Pass explicit
     ``knots`` to pin the candidate family, e.g. to compare two samples over
     the same family.
     """
@@ -301,10 +301,10 @@ def brute_force_infconv(
     knots = GridAllocation(knots=knots, slopes=np.zeros(np.size(knots) - 1)).knots
     n_seg = knots.size - 1
     total = (levels + 1) ** n_seg
-    if total > budget:
+    if total > _BUDGET:
         raise BudgetError(
             f"(levels+1)**segments = {levels + 1}**{n_seg} = {total} exceeds the "
-            f"budget of {budget}; use coordinate_descent_refine from a coarse start"
+            f"budget of {_BUDGET}; use coordinate_descent_refine from a coarse start"
         )
 
     grid = np.linspace(0.0, 1.0, levels + 1)

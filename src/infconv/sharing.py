@@ -11,7 +11,6 @@ two shares add up to the input exactly.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, replace
 
@@ -59,6 +58,8 @@ __all__ = [
 # less than 2**-_METRIC_TERMS (~2.4e-4).
 _METRIC_TERMS = 12
 _METRIC_POINTS_PER_UNIT = 512
+# Absolute tolerance of the stability inequality, for rounding in both solves.
+_STABILITY_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -249,40 +250,31 @@ def _member_epochs(
             yield
         order = shuffler.permutation(config.n_samples)
         batch_losses = []
-        for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
-            # the loss ignores row order; sorted rows come out of the networks
-            # in a few monotone runs, which keeps the risk kernel's argsorts cheap
-            xb = np.sort(samples[order[start : start + config.batch_size]])
-            v1, pull1 = value_and_grad(phi1, xb)
-            v2, pull2 = value_and_grad(phi2, xb)
-            if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
-                raise TrainingError(
-                    f"member {member}: non-finite network output at epoch {epoch}, batch {batch}",
-                    member, epoch, batch, losses[:epoch].copy(),
-                )
-            loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, v1, v2)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"member {member}: non-finite loss at epoch {epoch}, batch {batch}",
-                    member, epoch, batch, losses[:epoch].copy(),
-                )
-            batch_losses.append(loss)
-            try:
-                p1, adam1 = adam_step(adam1, phi1.params, pull1(cot1))
-                p2, adam2 = adam_step(adam2, phi2.params, pull2(cot2))
-            except OptimizerError as exc:
-                raise TrainingError(
-                    f"member {member}: {exc} at epoch {epoch}, batch {batch}",
-                    member, epoch, batch, losses[:epoch].copy(),
-                ) from exc
-            phi1.params = p1
-            phi2.params = p2
+        try:
+            for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
+                # the loss ignores row order; sorted rows come out of the networks
+                # in a few monotone runs, which keeps the risk kernel's argsorts cheap
+                xb = np.sort(samples[order[start : start + config.batch_size]])
+                v1, pull1 = value_and_grad(phi1, xb)
+                v2, pull2 = value_and_grad(phi2, xb)
+                # raises ValueError on non-finite network outputs
+                loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, v1, v2)
+                if not np.isfinite(loss):
+                    raise ValueError("non-finite loss")
+                batch_losses.append(loss)
+                phi1.params, adam1 = adam_step(adam1, phi1.params, pull1(cot1))
+                phi2.params, adam2 = adam_step(adam2, phi2.params, pull2(cot2))
+            epoch_loss = float(np.mean(batch_losses))
+            new_lr, plateau = plateau_step(plateau, epoch_loss, lr)
+        except (ValueError, OptimizerError) as exc:
+            raise TrainingError(
+                f"member {member}: {exc} at epoch {epoch}, batch {batch}",
+                member, epoch, batch, losses[:epoch].copy(),
+            ) from exc
         # a waiting member must not keep these: the pullbacks hold every activation of the batch
         del order, xb, v1, v2, pull1, pull2, cot1, cot2
-        epoch_loss = float(np.mean(batch_losses))
         losses[epoch] = epoch_loss
         lrs[epoch] = lr
-        new_lr, plateau = plateau_step(plateau, epoch_loss, lr)
         if new_lr != lr:
             lr = new_lr
             adam1 = replace(adam1, lr=lr)
@@ -363,9 +355,10 @@ def train_ensemble(
     count, and restores the caller's count on return; the count is
     process-wide, so other threads' BLAS calls run on one thread meanwhile.
     Worker j starts member j; then each worker, after each epoch, puts its
-    member back in a queue and takes the member that has waited longest, so
-    every worker stays busy until the last epoch.  A member's epochs still
-    run one at a time and in order, it depends only on its own streams, and
+    member back and takes the waiting member with the fewest epochs run (the
+    lowest index on a tie), so while epochs take about equally long no member
+    falls more than one epoch behind another.  A member's epochs still run
+    one at a time and in order, it depends only on its own streams, and
     every numpy call gives the same bits in any thread, so the result is
     byte-identical to training the members one after another, on any host
     with the same numpy build.  A TrainingError ends only its member.  Any other
@@ -378,14 +371,13 @@ def train_ensemble(
     workers = net._workers(size, config.batch_size * max(config.hidden_widths))
     runs = [_member_epochs(samples, spec1, spec2, config, k) for k in range(size)]
     outcomes: list = [None] * size
-    waiting = deque(range(workers, size))  # members in the order they started waiting
+    waiting = {k: 0 for k in range(workers, size)}  # waiting member: epochs it has run
     lock = threading.Lock()
-    stop = threading.Event()
-    fatal = size  # lowest member that raised something other than a TrainingError
+    cutoff = size  # only members below it start another epoch
 
-    def work(k: int) -> None:
-        nonlocal fatal
-        while not stop.is_set():
+    def work(k: int, ran: int = 0) -> None:
+        nonlocal cutoff
+        while k < cutoff:
             try:
                 next(runs[k])
             except StopIteration as done:
@@ -394,20 +386,21 @@ def train_ensemble(
                 outcomes[k] = exc
                 if not isinstance(exc, TrainingError):
                     with lock:  # members above it cannot change which error is raised
-                        fatal = min(fatal, k)
-                        for j in [j for j in waiting if j > fatal]:
-                            waiting.remove(j)
+                        cutoff = min(cutoff, k)
             with lock:
-                if outcomes[k] is None and k < fatal:
-                    waiting.append(k)
-                if not waiting:
+                if outcomes[k] is None:
+                    waiting[k] = ran + 1
+                ready = [(epochs, j) for j, epochs in waiting.items() if j < cutoff]
+                if not ready:
                     return
-                k = waiting.popleft()
+                ran, k = min(ready)  # fewest epochs run, then lowest index
+                del waiting[k]
 
     try:
         net._in_threads(work, workers, "infconv-member")
     finally:
-        stop.set()  # an interrupted caller leaves helpers to finish one epoch, not all
+        with lock:  # an interrupted caller leaves helpers to finish one epoch, not all
+            cutoff = 0
     for outcome in outcomes:
         if isinstance(outcome, Exception) and not isinstance(outcome, TrainingError):
             raise outcome
@@ -450,14 +443,14 @@ def allocation_loss(spec1: RiskMeasure, spec2: RiskMeasure, xs: np.ndarray, allo
     return pair_loss(spec1, spec2, xs, np.asarray(_first_map(allocation)(xs), dtype=np.float64))
 
 
-def metric_d(f, g, terms: int = _METRIC_TERMS, points_per_unit: int = _METRIC_POINTS_PER_UNIT) -> float:
+def metric_d(f, g, terms: int = _METRIC_TERMS) -> float:
     """Bounded metric on allocation maps: geometrically weighted window sups.
 
     Term h weighs min(1, sup over [-h, h] of |f - g|) by 2**-h and the series
     is truncated after ``terms`` windows, cutting off a tail of at most
     2**-terms.  Sups are approximated on a uniform grid.
     """
-    grid = np.linspace(-terms, terms, 2 * terms * points_per_unit + 1)
+    grid = np.linspace(-terms, terms, 2 * terms * _METRIC_POINTS_PER_UNIT + 1)
     return metric_d_mu(f, g, grid, terms)
 
 
@@ -556,7 +549,6 @@ def spectral_stability_check(
     p: float = 2.0,
     segments: int = 6,
     levels: int = 4,
-    slack: float = 1e-9,
 ) -> StabilityReport:
     """Check |pooled(A) - pooled(B)| against the transport-cost bound.
 
@@ -589,5 +581,5 @@ def spectral_stability_check(
         wasserstein=dist,
         norm1=norm1,
         norm2=norm2,
-        holds=bool(lhs <= rhs + slack),
+        holds=bool(lhs <= rhs + _STABILITY_SLACK),
     )

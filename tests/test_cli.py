@@ -329,6 +329,25 @@ def test_run_divergence_exits_3_with_partial_history(tmp_path, capsys):
         float(loss)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_epoch_end_divergence_exits_3(tmp_path, capsys, monkeypatch):
+    # finite batch losses whose epoch mean overflows to inf
+    loss_and_cotangents = sharing.batch_loss_and_cotangents
+
+    def huge(*args):
+        _, cot1, cot2 = loss_and_cotangents(*args)
+        return 1e308, cot1, cot2
+
+    monkeypatch.setattr(sharing, "batch_loss_and_cotangents", huge)
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(TINY_RUN, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    # the epoch's mean fails after its last batch, batch 7 of 8
+    assert "member 0 failed at epoch 0, batch 7" in capsys.readouterr().err
+    assert (out / "partial_history.csv").exists()
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MINIMAL + "flavor = mild\n", encoding="utf-8")

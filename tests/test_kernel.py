@@ -58,6 +58,6 @@ def test_entropic_leaves_are_overflow_guarded():
     xs = np.array([-1e6, 0.0, 1.0, 2.0])
     spec = Combination(((0.5, Entropic(0.1)), (0.5, ExpectedShortfall(0.5))))
     expected = 0.5 * (1e6 + 0.1 * np.log(1.0 / 4.0)) + 0.5 * 1e6 / 2.0
-    value, grad = sorted_risk(spec, np.stack([xs, xs], axis=1), grad=True)
+    value, grad = sorted_risk(spec, xs, grad=True)
     assert np.all(np.isfinite(grad))
     assert np.allclose(value, expected, rtol=0.0, atol=1e-6)

@@ -313,19 +313,6 @@ def test_leaves_flatten_like_the_reference(spec):
     assert abs(sum(w for w, _ in got) - 1.0) < 1e-12
 
 
-@given(specs(), st.lists(samples.map(np.sort), min_size=1, max_size=4), st.integers(1, 40))
-def test_sorted_risk_on_a_matrix_matches_each_column(spec, columns, n):
-    matrix = np.stack([np.resize(col, n) for col in columns], axis=1)
-    matrix.sort(axis=0)
-    values, grads = sorted_risk(spec, matrix, grad=True)
-    assert values.shape == (matrix.shape[1],) and grads.shape == matrix.shape
-    for k in range(matrix.shape[1]):
-        value, grad = sorted_risk(spec, matrix[:, k].copy(), grad=True)
-        assert _close(values[k], value, 1e-12)
-        assert np.allclose(grads[:, k], grad, rtol=0.0, atol=1e-15)
-        assert sorted_risk(spec, matrix[:, k].copy()) == value
-
-
 @st.composite
 def networks(draw):
     hidden = draw(st.lists(st.integers(1, 12), max_size=3))

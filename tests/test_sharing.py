@@ -349,6 +349,45 @@ def test_divergent_ensemble_lists_members():
     assert "member" in str(info.value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_epoch_mean_overflow_ends_the_member(monkeypatch):
+    # finite batch losses whose epoch mean overflows to inf
+    loss_and_cotangents = sharing.batch_loss_and_cotangents
+
+    def huge(*args):
+        _, cot1, cot2 = loss_and_cotangents(*args)
+        return 1e308, cot1, cot2
+
+    monkeypatch.setattr(sharing, "batch_loss_and_cotangents", huge)
+    cfg = replace(TINY, epochs=2, ensemble_size=2)
+    with pytest.raises(TrainingError) as info:
+        train_member(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg, member=1)
+    assert (info.value.member, info.value.epoch, info.value.batch) == (1, 0, 9)
+    assert "non-finite epoch loss" in str(info.value)
+    with pytest.raises(EnsembleError) as info:
+        train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    assert [f.member for f in info.value.failures] == [0, 1]
+
+
+def test_non_finite_network_output_names_member_epoch_and_batch(monkeypatch):
+    value_and_grad = sharing.value_and_grad
+    passes = []
+
+    def inf_at_epoch_1_batch_3(mlp, xs):
+        values, pullback = value_and_grad(mlp, xs)
+        passes.append(None)
+        if len(passes) == 2 * (10 + 3) + 1:  # two passes a step, ten batches an epoch
+            values = np.full_like(values, np.inf)
+        return values, pullback
+
+    monkeypatch.setattr(sharing, "value_and_grad", inf_at_epoch_1_batch_3)
+    with pytest.raises(TrainingError) as info:
+        train_member(tiny_samples(), Entropic(2.0), Entropic(3.0), TINY, member=2)
+    assert (info.value.member, info.value.epoch, info.value.batch) == (2, 1, 3)
+    assert str(info.value) == "member 2: batch and share values must be finite at epoch 1, batch 3"
+    assert info.value.history.shape == (1,) and np.isfinite(info.value.history[0])
+
+
 # ---------------------------------------------------------------------------
 # concurrent members
 # ---------------------------------------------------------------------------
@@ -490,6 +529,30 @@ def test_three_members_share_two_workers_epoch_by_epoch(monkeypatch):
     helper = [member for member, thread in trained if thread is not threading.main_thread()]
     assert len(set(main)) > 1 and len(set(helper)) > 1
     assert abs(len(main) - len(helper)) <= 1
+
+
+def test_members_stay_within_one_epoch_of_each_other(monkeypatch):
+    # member 0's first epoch runs long and member 1's second short, so the
+    # workers' epoch ends change order; a worker that then took the member
+    # that had waited longest would start member 1's third epoch while
+    # member 2 had started one
+    lengths = {(0, 0): 1.3, (1, 1): 0.5}
+    started = [0, 0, 0]
+    spreads = []
+    lock = threading.Lock()
+
+    def timed(member):
+        with lock:
+            length = lengths.get((member, started[member]), 1.0)
+            started[member] += 1
+            spreads.append(max(started) - min(started))
+        time.sleep(0.1 * length)
+
+    _workers(monkeypatch, cpus=2)
+    _hooked_epochs(monkeypatch, timed)
+    train_ensemble(tiny_samples(SHORT_EPOCHS), Entropic(2.0), Entropic(3.0), SHORT_EPOCHS)
+    assert started == [SHORT_EPOCHS.epochs] * 3
+    assert max(spreads) <= 1
 
 
 def test_narrow_configs_train_in_the_calling_thread(monkeypatch):
