@@ -563,7 +563,8 @@ def _cmd_run(args) -> int:
             tail = ", ".join(_fmt(v) for v in failure.history[-5:])
             print(
                 f"  member {failure.member} failed at epoch {failure.epoch}, "
-                f"batch {failure.batch}; last epoch losses: [{tail}]",
+                f"batch {failure.batch}: {failure.__cause__ or failure}; "
+                f"last epoch losses: [{tail}]",
                 file=sys.stderr,
             )
         _write_partial_history(spec, exc)

@@ -292,10 +292,10 @@ def _tail_split(alpha: float, n: int) -> tuple[int, float]:
 def eval_entropic(m: EmpiricalMeasure, beta: float) -> float:
     """beta * log mean(exp(-x/beta)), stabilized by a max shift."""
     beta = _check_positive("beta", beta)
-    t = -m.samples / beta
-    shift = float(t[0])  # samples sorted ascending, so t[0] is the max
-    total = float(np.exp(t - shift).sum())
-    return beta * (shift + np.log(total) - np.log(m.size))
+    low = float(m.samples[0])  # samples sorted ascending, so low carries the largest exponent
+    with np.errstate(over="ignore"):  # an exponent of -inf is exact: its term is 0
+        total = float(np.exp((low - m.samples) / beta).sum())
+    return beta * (np.log(total) - np.log(m.size)) - low
 
 def eval_var(m: EmpiricalMeasure, u: float) -> float:
     """Left-continuous empirical value-at-risk -x_(ceil(N*u)) at level u."""
@@ -415,12 +415,13 @@ def sorted_risk(spec: RiskMeasure, xs: np.ndarray, grad: bool = False):
         if linear is not None:
             g -= linear
     for w, beta in entropic:
-        e = xs / -beta
-        shift = e[0]  # ascending, so the first value carries the largest exponent
-        e -= shift
+        # xs ascends, so xs[0] gives the largest exponent, 0; an exponent
+        # that overflows to -inf is exact, as its term is 0
+        with np.errstate(over="ignore"):
+            e = (xs[0] - xs) / beta
         np.exp(e, out=e)
         total = e.sum()
-        value = value + w * (beta * (shift + np.log(total) - np.log(n)))
+        value = value + w * (beta * (np.log(total) - np.log(n)) - xs[0])
         if grad:
             g -= w * (e / total)
     return (value, g) if grad else value

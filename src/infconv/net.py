@@ -3,11 +3,20 @@
 Scalar-in scalar-out networks evaluated on batches.  All arithmetic is
 float64 and every parameter lives in one flat vector; forward and
 value_and_grad are pure functions of it, so two identical calls give
-bit-identical results.  forward evaluates in fixed blocks of 1024 rows, so
-its memory does not grow with the layer width times the batch size, and
-splits long batches' blocks over threads; value_and_grad keeps every
-activation of its batch for the pullback.  The rule that sizes those threads
-also sizes the ensemble's member threads in ``sharing``.
+bit-identical results.
+
+Activations are stored feature-major, as (width, rows) arrays, so the batch
+axis is the contiguous one.  Layers are narrow and batches long (widths of
+8 to 100 against 1000 rows), so every bias broadcast, every one-column
+product and every bias-gradient sum runs along a long contiguous row rather
+than over a short inner axis once per row; weight gradients are the
+products delta @ a.T.
+
+forward evaluates in fixed blocks of 1024 rows, so its memory does not grow
+with the layer width times the batch size, and splits long batches' blocks
+over threads; value_and_grad keeps every activation of its batch for the
+pullback.  The rule that sizes those threads also sizes the ensemble's
+member threads in ``sharing``.
 
 forward and training (in ``sharing``) hold numpy's OpenBLAS at one thread,
 so no output bit depends on the host's CPU count or its BLAS variables.
@@ -41,7 +50,7 @@ __all__ = [
 
 ACTIVATIONS = ("linear", "relu", "tanh")
 
-# Rows per block of an evaluation pass: a (1024, 100) float64 activation is
+# Rows per block of an evaluation pass: a (100, 1024) float64 activation is
 # 800 KB, so a block's activations stay in cache.  Blocks start at row 0 and
 # have a fixed size, so the split, and with it every output bit, depends on
 # the batch alone.
@@ -49,11 +58,11 @@ _BLOCK_ROWS = 1024
 
 # Work splits over threads only when rows per numpy call times the widest layer
 # reaches this, so that each call runs long outside the GIL.  On 2 CPUs with
-# 1 BLAS thread, 3 members on batches of 1000 sorted rows took, as a median
-# of 5 concurrent/serial ratios, 1.76x the serial time at 8,000 (width 8),
-# 1.10x at 16,000 and 1.13x at 24,000 on an entropic pair, and 1.39x, 1.08x
-# and 0.94x on a spectral pair; at 32,768 (batch 1024, width 32) they took
-# 0.81x and 0.84x.
+# 1 BLAS thread and feature-major activations, 3 members on batches of 1000
+# sorted rows took, as a median of 5 to 7 concurrent/serial ratios, 1.58x
+# the serial time at 8,000 (width 8), 1.40x at 16,000 and 1.17x at 24,000 on
+# an entropic pair, and 1.59x, 1.15x and 1.02x on a spectral pair; at 32,768
+# (batch 1024, width 32) they took 0.89x and 0.82x.
 _PARALLEL_MIN_WORK = 2**15
 
 
@@ -143,11 +152,12 @@ def _pull_activation(delta: np.ndarray, a: np.ndarray, activation: str) -> None:
 
 
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ w.T + b into a new array.  With one input column the product is a
-    broadcast multiply, which gives the same bits as the K=1 matrix product
-    at a fraction of its cost."""
-    z = a * w[:, 0] if w.shape[1] == 1 else a @ w.T
-    z += b
+    """w @ a + b[:, None] into a new (fan_out, rows) array, from the
+    feature-major input a of shape (fan_in, rows).  With fan_in 1 the product
+    has one term per entry, so it is the broadcast multiply w * a: the same
+    bits as the K=1 matrix product at a fraction of its cost."""
+    z = w * a if w.shape[1] == 1 else w @ a
+    z += b[:, None]
     return z
 
 
@@ -285,11 +295,11 @@ def forward(mlp: Mlp, xs: np.ndarray) -> np.ndarray:
 
     def run(j: int) -> None:
         for start in starts[len(starts) * j // workers : len(starts) * (j + 1) // workers]:
-            a = xs[start : start + _BLOCK_ROWS, None]
+            a = xs[None, start : start + _BLOCK_ROWS]
             for i, (w, b) in enumerate(layers):
                 z = _affine(a, w, b)
                 a = z if i == last else _activate(z, mlp.activation)
-            out[start : start + _BLOCK_ROWS] = a[:, 0]
+            out[start : start + _BLOCK_ROWS] = a[0]
 
     _in_threads(run, workers, "infconv-forward")
     return out
@@ -308,7 +318,7 @@ def value_and_grad(
     xs = _check_batch(xs)
     params, widths, activation = mlp.params, mlp.widths, mlp.activation
     layers = _layers(params, widths)
-    inputs = [xs[:, None]]  # input of every layer; inputs[i + 1] is layer i's output
+    inputs = [xs[None, :]]  # input of every layer; inputs[i + 1] is layer i's output
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = _affine(inputs[-1], w, b)
@@ -320,19 +330,19 @@ def value_and_grad(
             raise ValueError("upstream weights must match the input batch shape")
         grad = np.empty_like(params)
         grad_layers = _layers(grad, widths)
-        delta = upstream[:, None]
+        delta = upstream[None, :]
         for i in range(last, -1, -1):
             grad_w, grad_b = grad_layers[i]
-            grad_w[...] = delta.T @ inputs[i]
-            grad_b[...] = delta.sum(axis=0)
+            grad_w[...] = delta @ inputs[i].T
+            grad_b[...] = delta.sum(axis=1)
             if i > 0:
                 w = layers[i][0]
                 # one output row: a broadcast multiply instead of a K=1 product
-                delta = delta * w[0] if w.shape[0] == 1 else delta @ w
+                delta = w.T * delta if w.shape[0] == 1 else w.T @ delta
                 _pull_activation(delta, inputs[i], activation)
         return grad
 
-    return inputs[-1].ravel(), pullback
+    return inputs[-1][0], pullback
 
 
 def param_count(mlp: Mlp) -> int:

@@ -75,6 +75,9 @@ class Uniform:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        # quantiles and the density are formed from hi - lo
+        if not np.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"interval [{self.lo!r}, {self.hi!r}] is too wide for float64")
 
 
 @dataclass(frozen=True)

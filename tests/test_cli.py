@@ -343,8 +343,10 @@ def test_run_epoch_end_divergence_exits_3(tmp_path, capsys, monkeypatch):
     cfg.write_text(TINY_RUN, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
-    # the epoch's mean fails after its last batch, batch 7 of 8
-    assert "member 0 failed at epoch 0, batch 7" in capsys.readouterr().err
+    # the epoch's mean fails after its last batch, batch 7 of 8, and the cause is named
+    err = capsys.readouterr().err
+    assert "member 0 failed at epoch 0, batch 7" in err
+    assert "non-finite epoch loss" in err
     assert (out / "partial_history.csv").exists()
 
 
@@ -386,6 +388,16 @@ def test_run_negbeta_shapes_without_finite_quantiles_exit_2(tmp_path, capsys, sh
     cfg.write_text(MINIMAL.replace("uniform(-1.0,1.0)", f"negbeta({shapes})"), encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: line 2: field 'distribution'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_uniform_wider_than_float64_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(MINIMAL.replace("uniform(-1.0,1.0)", "uniform(-1e308,1e308)"), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 2: field 'distribution'")
+    assert "too wide for float64" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -87,6 +87,15 @@ def test_entropic_overflow_guarded():
     assert abs(v - expected) < 1e-6
 
 
+@pytest.mark.parametrize("beta, xs, expected", [(1e-300, [-1e10, 1e10], 1e10), (1e-3, [-1e306, 1.0], 1e306)])
+def test_entropic_exponents_that_overflow_count_as_zero(beta, xs, expected):
+    # x / beta overflows for the larger sample; its term exp(-inf) is 0, so
+    # the value is -min(xs) + beta * log(1/2), which rounds to -min(xs)
+    m = empirical(np.array(xs))
+    assert evaluate(Entropic(beta), m) == expected
+    assert eval_entropic(m, beta) == expected
+
+
 def test_var_picks_order_statistic():
     xs = np.arange(1, 101) / 100.0
     m = empirical(xs)

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject
+from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
@@ -246,24 +246,36 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
-def distributions(draw):
+def distribution_calls(draw):
+    """A distribution class and arguments that its constructor may refuse:
+    NegBeta takes any positive shapes and Uniform any finite lo < hi."""
     kind = draw(st.sampled_from(["uniform", "truncnormal", "negbeta"]))
     if kind == "negbeta":
-        # any positive shapes; those the constructor rejects are skipped
-        try:
-            return NegBeta(draw(positive), draw(positive))
-        except ValueError:
-            reject()
+        return NegBeta, (draw(positive), draw(positive))
     if kind == "truncnormal":
         # at most 5 sd from the mean, so the interval's mass stays far above
         # what TruncNormal rejects
         mean, sd = draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-3, 1e3))
         lo = mean - sd * draw(st.floats(0.0, 5.0))
         hi = mean + sd * draw(st.floats(0.01, 5.0))
-        return TruncNormal(mean, sd, lo, hi)
+        return TruncNormal, (mean, sd, lo, hi)
     lo, hi = draw(finite), draw(finite)
     assume(lo < hi)
-    return Uniform(lo, hi)
+    return Uniform, (lo, hi)
+
+
+def construct(call):
+    """The distribution a (class, arguments) call builds; a call that the
+    constructor refuses is skipped."""
+    kind, args = call
+    try:
+        return kind(*args)
+    except ValueError:
+        reject()
+
+
+def distributions():
+    return distribution_calls().map(construct)
 
 
 @given(distributions())
@@ -274,8 +286,10 @@ def test_distribution_render_parses_back(dist):
 seeds = st.integers(0, 2**64 - 1)
 
 
-@given(distributions(), seeds, seeds)
-def test_draws_lie_inside_the_support(dist, seed, stream):
+@given(distribution_calls(), seeds, seeds)
+@example((Uniform, (-1e308, 1e308)), 0, 0)  # hi - lo overflows: refused, not drawn as inf
+def test_draws_lie_inside_the_support(call, seed, stream):
+    dist = construct(call)
     lo, hi = support(dist)
     xs = draw(dist, 1000, RngSeed(seed, stream))
     assert np.all((xs >= lo) & (xs <= hi))  # false for NaN
@@ -374,6 +388,46 @@ def test_forward_is_blocked_in_aligned_1024_row_slices(net, k, r, seed):
     assert forward(net, xs).tobytes() == out.tobytes()
     values, _ = value_and_grad(net, xs)
     assert np.allclose(out, values, rtol=1e-12, atol=1e-12)
+
+
+def row_major_pass(net, xs, upstream):
+    """Values and the flat pullback of upstream, computed row-major:
+    activations of shape (rows, width), each layer a @ W.T + b."""
+    activate, derivative = {
+        "linear": (lambda z: z, lambda a: 1.0),
+        "relu": (lambda z: np.maximum(z, 0.0), lambda a: a > 0.0),
+        "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    }[net.activation]
+    layers = list(zip(net.weights, net.biases))
+    acts = [xs[:, None]]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.T + b
+        acts.append(activate(z) if i < len(layers) - 1 else z)
+    delta, grads = upstream[:, None], []
+    for i in range(len(layers) - 1, -1, -1):
+        grads[:0] = [(delta.T @ acts[i]).ravel(), delta.sum(axis=0)]
+        if i:
+            delta = (delta @ layers[i][0]) * derivative(acts[i])
+    return acts[-1][:, 0], np.concatenate(grads)
+
+
+@given(networks(), st.integers(1, 2049), st.integers(0, 2**16))
+# 1-wide hidden layers: a one-column product inside, a one-row pullback
+@example(init_mlp((1, 1, 5, 1), "tanh", RngSeed(0, 1)), 1025, 0)
+@example(init_mlp((1, 7, 1, 1), "relu", RngSeed(0, 1)), 2049, 1)
+def test_feature_major_passes_match_a_row_major_reference(net, rows, seed):
+    rng = np.random.default_rng(seed)
+    xs, upstream = rng.uniform(-3.0, 3.0, size=rows), rng.normal(size=rows)
+    want_values, want_grad = row_major_pass(net, xs, upstream)
+    values, pullback = value_and_grad(net, xs)
+    grad = pullback(upstream)
+    # sums over rows and layers may run in another order, so the tolerance
+    # is relative to the largest entry
+    scale = max(1.0, np.abs(want_values).max())
+    assert np.allclose(values, want_values, rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(forward(net, xs), want_values, rtol=1e-12, atol=1e-12 * scale)
+    scale = max(1.0, np.abs(want_grad).max())
+    assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * scale)
 
 
 CONFIG_PAIRS = (

@@ -109,6 +109,16 @@ def test_truncnormal_rejects_intervals_float64_cannot_carry(lo, hi):
     assert len(str(info.value)) < 80
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1e308, 8e307)])
+def test_uniform_rejects_intervals_wider_than_float64(lo, hi):
+    # hi - lo overflows, so every quantile and draw would be inf
+    with pytest.raises(ValueError, match="too wide for float64"):
+        Uniform(lo, hi)
+    # just inside float64's range the interval is kept and sampled
+    xs = stratified_sample(Uniform(lo, 7e307), 1001)
+    assert np.all(np.isfinite(xs) & (xs >= lo) & (xs <= 7e307))
+
+
 def test_support_bounds():
     assert support(Uniform(-1.0, 1.0)) == (-1.0, 1.0)
     assert support(TruncNormal(0.0, 1.0, -3.0, 3.0)) == (-3.0, 3.0)
