@@ -6,9 +6,10 @@ cash additive, monotone and convex; values depend on the sorted sample only.
 
 All evaluation runs through one kernel.  ``leaves`` flattens a spec into
 weighted entropic, shortfall and spectral leaves; a compile step, cached per
-spec and sample size, sums the order-statistic weights of the linear leaves;
-``sorted_risk`` then values (and differentiates) an ascending sample vector
-as that weighting plus one log-mean-exp per entropic leaf.
+spec and sample size, sums the order-statistic weights of the linear leaves,
+each read off the leaf's piecewise-linear rank density; ``sorted_risk`` then
+values (and differentiates) an ascending sample vector as that weighting
+plus one log-mean-exp per entropic leaf.
 
 ``parse_risk_spec`` reads text such as ``mix(0.5*es(0.8)+0.5*entropic(2.0))``
 by walking Python's expression tree without evaluating it; distributions in
@@ -43,8 +44,6 @@ __all__ = [
     "eval_with_grad",
     "leaves",
     "sorted_risk",
-    "sorted_tail_weights",
-    "spectral_order_weights",
     "parse_risk_spec",
     "render_risk_spec",
 ]
@@ -54,9 +53,9 @@ _WEIGHT_TOL = 1e-12
 _DENSITY_TOL = 1e-9
 _MAX_NESTING = 4
 
-# Absolute slack when locating quantile indices, so that alpha*N lands on the
-# mathematically correct integer even when IEEE rounding pushes the product a
-# few ulp past it (e.g. 0.07 * 100 == 7.000000000000001).
+# Absolute slack when eval_var locates its quantile index, so that u*N lands
+# on the mathematically correct integer even when IEEE rounding pushes the
+# product a few ulp past it (e.g. 0.07 * 100 == 7.000000000000001).
 _INDEX_NUDGE = 1e-9
 
 
@@ -276,17 +275,9 @@ def empirical(values: np.ndarray) -> EmpiricalMeasure:
 
 
 def _ceil_index(u: float, n: int) -> int:
-    """1-based order-statistic index ceil(n*u), robust to float roundoff."""
+    """eval_var's 1-based order-statistic index ceil(n*u), robust to roundoff."""
     k = int(np.ceil(n * float(u) - _INDEX_NUDGE))
     return min(max(k, 1), n)
-
-
-def _tail_split(alpha: float, n: int) -> tuple[int, float]:
-    """Split alpha*n into (full_count, fractional_weight) for tail averages."""
-    t = float(alpha) * n
-    full = int(np.floor(t + _INDEX_NUDGE))
-    frac = max(t - full, 0.0)
-    return min(full, n), frac
 
 
 def eval_entropic(m: EmpiricalMeasure, beta: float) -> float:
@@ -303,25 +294,13 @@ def eval_var(m: EmpiricalMeasure, u: float) -> float:
     return float(-m.samples[_ceil_index(u, m.size) - 1])
 
 
-def sorted_tail_weights(alpha: float, n: int) -> np.ndarray:
-    """Weights w with eval_es == -(w @ sorted_samples); w sums to one."""
-    alpha = _check_level("alpha", alpha)
-    full, frac = _tail_split(alpha, n)
-    w = np.zeros(n)
-    t = alpha * n
-    w[:full] = 1.0 / t
-    if frac > 0.0 and full < n:
-        w[full] = frac / t
-    return w
-
-
 def eval_es(m: EmpiricalMeasure, alpha: float) -> float:
     """Expected shortfall: mean of the worst alpha-fraction of the sample.
 
     The empirical tail average weighs the ceil(alpha*N)-th order statistic by
     the fractional part of alpha*N, so the value is continuous in alpha.
     """
-    return float(-(sorted_tail_weights(alpha, m.size) @ m.samples))
+    return float(-(_order_weights(ExpectedShortfall(alpha), m.size) @ m.samples))
 
 
 def eval_distortion(m: EmpiricalMeasure, components: tuple[tuple[float, float], ...]) -> float:
@@ -329,29 +308,11 @@ def eval_distortion(m: EmpiricalMeasure, components: tuple[tuple[float, float], 
     return float(sum(w * eval_es(m, a) for w, a in components))
 
 
-def spectral_order_weights(density: Spectral, n: int) -> np.ndarray:
-    """Quadrature weight of each order statistic under a spectral density.
-
-    The empirical quantile is constant on each ((k-1)/N, k/N], so the grid is
-    refined by those jump points and the trapezoid rule is applied piecewise;
-    weight k collects the density mass of its interval.
-    """
-    jumps = np.arange(1, n) / n
-    edges = np.unique(np.concatenate([density.grid, jumps]))
-    h = np.interp(edges, density.grid, density.values)
-    seg = 0.5 * (h[1:] + h[:-1]) * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    idx = np.clip(np.ceil(n * mid).astype(np.int64) - 1, 0, n - 1)
-    w = np.zeros(n)
-    np.add.at(w, idx, seg)
-    return w
-
-
 def eval_spectral(m: EmpiricalMeasure, density: Spectral) -> float:
     """Integral of the empirical value-at-risk against the density."""
     if not isinstance(density, Spectral):
         raise ValueError("density must be a Spectral spec")
-    return float(-(spectral_order_weights(density, m.size) @ m.samples))
+    return float(-(_order_weights(density, m.size) @ m.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +323,40 @@ Leaf = Entropic | ExpectedShortfall | Spectral
 
 # Distinct (spec, sample size) pairs whose compiled weights are kept.
 _COMPILE_CACHE = 64
+
+
+def _density_pieces(leaf: Leaf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A linear leaf's rank density as breakpoints 0 = t_0 < ... < t_m = 1
+    and its values at each piece's left and right end; it is linear in
+    between.  Entropic leaves have no such density."""
+    if isinstance(leaf, ExpectedShortfall):
+        # 1/alpha overflows below float64's smallest normal number; a sample
+        # of fewer than 1e307 points puts all of such a level's weight on its
+        # worst rank, as it does at that number
+        alpha = max(leaf.alpha, np.finfo(np.float64).tiny)
+        height = np.array([1.0 / alpha, 0.0])
+        return np.array([0.0, alpha, 1.0]), height, height
+    if isinstance(leaf, Spectral):
+        return leaf.grid, leaf.values[:-1], leaf.values[1:]
+    raise ValueError(f"no rank-weighting density: the spec has a leaf of type {type(leaf).__name__}")
+
+
+def _order_weights(leaf: Leaf, n: int) -> np.ndarray:
+    """Weight of each order statistic under a linear leaf: the density's mass
+    on ((k-1)/n, k/n], where the empirical quantile is constant, taken as
+    differences of the density's exact integral g at k/n."""
+    t, left, right = _density_pieces(leaf)
+    width = np.diff(t)
+    # g at the breakpoints: the cumulative trapezoid
+    below = np.concatenate([[0.0], np.cumsum(0.5 * (left + right) * width)])
+    k = np.arange(n + 1.0)
+    j = np.minimum(np.searchsorted(t, k / n, side="right") - 1, width.size - 1)
+    # plus the partial trapezoid over the s ranks from the piece's left end to
+    # k; counted in ranks, g on a flat piece is rounded once
+    s = k - n * t[j]
+    slope = 0.5 * (right - left) / (n * n * width)
+    g = below[j] + s * (left[j] / n + slope[j] * s)
+    return np.diff(g)
 
 
 def leaves(spec: RiskMeasure) -> tuple[tuple[float, Leaf], ...]:
@@ -390,10 +385,7 @@ def _compile(spec: RiskMeasure, n: int) -> tuple[np.ndarray | None, tuple[tuple[
             continue
         if linear is None:
             linear = np.zeros(n)
-        if isinstance(leaf, ExpectedShortfall):
-            linear += w * sorted_tail_weights(leaf.alpha, n)
-        else:
-            linear += w * spectral_order_weights(leaf, n)
+        linear += w * _order_weights(leaf, n)
     if linear is not None:
         linear.setflags(write=False)
     return linear, tuple(entropic)

@@ -44,6 +44,11 @@ _MIN_TRUNCNORM_MASS = 1e-300
 # 1e12 every quantile was finite.  A shape of 1e8 already leaves the law a
 # standard deviation below 5e-5.
 _MAX_NEGBETA_SHAPE = 1e8
+# NegBeta shapes refused at the bottom of the normal range.  On a log grid
+# down to 5e-324, betaincinv returned NaN quantiles only for pairs whose larger
+# shape is below 4.3e-305 and whose smaller one lies in [7.4e-309, 4.3e-308],
+# e.g. (3.56e-307, 2.2250738585072014e-308).
+_NEGBETA_SHAPE_GAP = (5e-309, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,11 @@ class NegBeta:
     b: float = 5.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.a <= _MAX_NEGBETA_SHAPE and 0 < self.b <= _MAX_NEGBETA_SHAPE):
-            raise ValueError(f"beta shape parameters must lie in (0, {_MAX_NEGBETA_SHAPE:g}]")
+        lo, hi = _NEGBETA_SHAPE_GAP
+        if not all(0 < s <= _MAX_NEGBETA_SHAPE and not lo <= s < hi for s in (self.a, self.b)):
+            raise ValueError(
+                f"beta shape parameters must lie in (0, {lo:g}) or [{hi:g}, {_MAX_NEGBETA_SHAPE:g}]"
+            )
 
 
 Distribution = Uniform | TruncNormal | NegBeta

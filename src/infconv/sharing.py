@@ -18,9 +18,8 @@ import numpy as np
 
 from .measures import (
     EmpiricalMeasure,
-    ExpectedShortfall,
     RiskMeasure,
-    Spectral,
+    _density_pieces,
     empirical,
     evaluate,
     leaves,
@@ -248,29 +247,32 @@ def _member_epochs(
     for epoch in range(config.epochs):
         if epoch:
             yield
-        order = shuffler.permutation(config.n_samples)
-        batch_losses = []
-        try:
-            for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
-                # the loss ignores row order; sorted rows come out of the networks
-                # in a few monotone runs, which keeps the risk kernel's argsorts cheap
-                xb = np.sort(samples[order[start : start + config.batch_size]])
-                v1, pull1 = value_and_grad(phi1, xb)
-                v2, pull2 = value_and_grad(phi2, xb)
-                # raises ValueError on non-finite network outputs
-                loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, v1, v2)
-                if not np.isfinite(loss):
-                    raise ValueError("non-finite loss")
-                batch_losses.append(loss)
-                phi1.params, adam1 = adam_step(adam1, phi1.params, pull1(cot1))
-                phi2.params, adam2 = adam_step(adam2, phi2.params, pull2(cot2))
-            epoch_loss = float(np.mean(batch_losses))
-            new_lr, plateau = plateau_step(plateau, epoch_loss, lr)
-        except (ValueError, OptimizerError) as exc:
-            raise TrainingError(
-                f"member {member}: {exc} at epoch {epoch}, batch {batch}",
-                member, epoch, batch, losses[:epoch].copy(),
-            ) from exc
+        # the checks below refuse what overflows as a TrainingError; the block
+        # ends inside the epoch, as an errstate open across the yield would leak
+        with np.errstate(over="ignore", invalid="ignore"):
+            order = shuffler.permutation(config.n_samples)
+            batch_losses = []
+            try:
+                for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
+                    # the loss ignores row order; sorted rows come out of the networks
+                    # in a few monotone runs, which keeps the risk kernel's argsorts cheap
+                    xb = np.sort(samples[order[start : start + config.batch_size]])
+                    v1, pull1 = value_and_grad(phi1, xb)
+                    v2, pull2 = value_and_grad(phi2, xb)
+                    # raises ValueError on non-finite network outputs
+                    loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, v1, v2)
+                    if not np.isfinite(loss):
+                        raise ValueError("non-finite loss")
+                    batch_losses.append(loss)
+                    phi1.params, adam1 = adam_step(adam1, phi1.params, pull1(cot1))
+                    phi2.params, adam2 = adam_step(adam2, phi2.params, pull2(cot2))
+                epoch_loss = float(np.mean(batch_losses))
+                new_lr, plateau = plateau_step(plateau, epoch_loss, lr)
+            except (ValueError, OptimizerError) as exc:
+                raise TrainingError(
+                    f"member {member}: {exc} at epoch {epoch}, batch {batch}",
+                    member, epoch, batch, losses[:epoch].copy(),
+                ) from exc
         # a waiting member must not keep these: the pullbacks hold every activation of the batch
         del order, xb, v1, v2, pull1, pull2, cot1, cot2
         losses[epoch] = epoch_loss
@@ -361,11 +363,13 @@ def train_ensemble(
     one at a time and in order, it depends only on its own streams, and
     every numpy call gives the same bits in any thread, so the result is
     byte-identical to training the members one after another, on any host
-    with the same numpy build.  A TrainingError ends only its member.  Any other
-    error is re-raised here, the lowest member's first; members above it
-    stop training, members below it go on, since they might fail first.  An
-    interrupted caller leaves each helper to finish at most its current
-    epoch.
+    with the same numpy build.  Inside its epochs training overrides the
+    caller's errstate for overflow and invalid values, ignoring both: its own
+    finiteness checks turn them into a TrainingError, which ends only its
+    member.  Any other error is re-raised here, the lowest member's first;
+    members above it stop training, members below it go on, since they might
+    fail first.  An interrupted caller leaves each helper to finish at most
+    its current epoch.
     """
     size = config.ensemble_size
     workers = net._workers(size, config.batch_size * max(config.hidden_widths))
@@ -491,33 +495,23 @@ def l2_error(approx, exact, xs: np.ndarray) -> float:
 def distortion_density_norm(spec: RiskMeasure, q: float) -> float:
     """L^q norm over [0, 1] of the measure's rank-weighting density.
 
-    The density is the weighted sum of the leaves' densities: 1/alpha on
-    (0, alpha] for a shortfall leaf, the interpolated grid for a spectral
-    leaf.  Between the merged breakpoints of all leaves it is linear, so the
-    norm is exact.  Raises for measures without such a density, i.e. any
-    spec with an entropic leaf.
+    The density is the weighted sum of the leaves' piecewise linear densities
+    (measures._density_pieces).  Between the merged breakpoints of all leaves
+    it is linear, so the norm is exact.  Raises for measures without such a
+    density, i.e. any spec with an entropic leaf.
     """
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    terms = leaves(spec)
-    for _, leaf in terms:
-        if not isinstance(leaf, (ExpectedShortfall, Spectral)):
-            name = type(leaf).__name__
-            raise ValueError(f"no rank-weighting density: the spec has a leaf of type {name}")
-    edges = np.unique(np.concatenate([[0.0, 1.0]] + [
-        [leaf.alpha] if isinstance(leaf, ExpectedShortfall) else leaf.grid for _, leaf in terms
-    ]))
+    pieces = [(w, _density_pieces(leaf)) for w, leaf in leaves(spec)]
+    edges = np.unique(np.concatenate([t for _, (t, _, _) in pieces]))
     # density values at the left (a) and right (b) end of each segment
     a = np.zeros(edges.size - 1)
     b = np.zeros(edges.size - 1)
-    for w, leaf in terms:
-        if isinstance(leaf, ExpectedShortfall):
-            step = np.where(leaf.alpha >= edges[1:], w / leaf.alpha, 0.0)
-            a += step
-            b += step
-        else:
-            a += w * np.interp(edges[:-1], leaf.grid, leaf.values)
-            b += w * np.interp(edges[1:], leaf.grid, leaf.values)
+    for w, (t, left, right) in pieces:
+        j = np.searchsorted(t, edges[:-1], side="right") - 1  # the leaf's piece holding the segment
+        width = t[j + 1] - t[j]
+        a += w * (left[j] + (right[j] - left[j]) * ((edges[:-1] - t[j]) / width))
+        b += w * (right[j] + (left[j] - right[j]) * ((t[j + 1] - edges[1:]) / width))
     if np.isinf(q):
         return float(max(a.max(), b.max()))
     flat = np.isclose(a, b)

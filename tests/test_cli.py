@@ -310,7 +310,6 @@ def test_allocation_error_profiles_out_the_cash_constant(exact, c):
     assert abs(error + offset**2 - sharing.l2_error(bent, exact, xs)) < 1e-15
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exits_3_with_partial_history(tmp_path, capsys):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text(TINY_RUN.replace("learning_rate = 0.001", "learning_rate = 1e300"),
@@ -329,7 +328,27 @@ def test_run_divergence_exits_3_with_partial_history(tmp_path, capsys):
         float(loss)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_divergence_prints_no_raw_numpy_warning(tmp_path):
+    # the network passes overflow; training refuses the values itself, so
+    # even under warnings-as-errors the run ends in the exit-3 report
+    cfg = tmp_path / "explode.cfg"
+    cfg.write_text(
+        TINY_RUN.replace("learning_rate = 0.001", "learning_rate = 1e300")
+        .replace("n_samples = 400", "n_samples = 200").replace("hidden_widths = 8,8", "hidden_widths = 4"),
+        encoding="utf-8",
+    )
+    src = str(Path(infconv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "infconv", "run", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "diverged" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
+
 def test_run_epoch_end_divergence_exits_3(tmp_path, capsys, monkeypatch):
     # finite batch losses whose epoch mean overflows to inf
     loss_and_cotangents = sharing.batch_loss_and_cotangents
@@ -381,7 +400,9 @@ def test_run_deeply_nested_spec_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("shapes", ["2, 1e155", "50, 1e155"])
+@pytest.mark.parametrize(
+    "shapes", ["2, 1e155", "50, 1e155", "3.556101372430057e-307, 2.2250738585072014e-308"]
+)
 def test_run_negbeta_shapes_without_finite_quantiles_exit_2(tmp_path, capsys, shapes):
     # betaincinv returns NaN quantiles for these shapes
     cfg = tmp_path / "negbeta.cfg"

@@ -12,7 +12,7 @@ from infconv import (
     es_spectral_density,
     render_risk_spec,
 )
-from infconv.measures import _compile, sorted_risk, sorted_tail_weights
+from infconv.measures import _compile, _order_weights, sorted_risk
 
 
 def test_compile_caches_read_only_order_weights():
@@ -20,7 +20,7 @@ def test_compile_caches_read_only_order_weights():
     linear, entropic = _compile(spec, 50)
     assert _compile(spec, 50) is _compile(spec, 50)
     assert not linear.flags.writeable
-    assert np.array_equal(linear, 0.75 * sorted_tail_weights(0.9, 50))
+    assert np.array_equal(linear, 0.75 * _order_weights(ExpectedShortfall(0.9), 50))
     assert entropic == ((0.25, 2.0),)
     assert _compile(Entropic(1.0), 50) == (None, ((1.0, 1.0),))
 
@@ -31,7 +31,7 @@ def test_sorted_risk_returns_the_gradient_only_when_asked():
     assert np.ndim(value) == 0
     value2, grad = sorted_risk(ExpectedShortfall(0.5), xs, grad=True)
     assert value2 == value
-    assert np.array_equal(grad, -sorted_tail_weights(0.5, 11))
+    assert np.array_equal(grad, -_order_weights(ExpectedShortfall(0.5), 11))
 
 
 def test_batch_loss_checks_its_inputs_once():

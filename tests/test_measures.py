@@ -22,7 +22,7 @@ from infconv import (
     parse_risk_spec,
     render_risk_spec,
 )
-from infconv.measures import sorted_tail_weights, spectral_order_weights
+from infconv.measures import _order_weights
 
 
 def random_spec(rng, depth=0, parseable=False):
@@ -129,12 +129,19 @@ def test_es_equals_tail_weight_dot():
         n = int(rng.integers(2, 80))
         xs = rng.normal(size=n)
         alpha = float(rng.uniform(0.05, 0.99))
-        w = sorted_tail_weights(alpha, n)
+        w = _order_weights(ExpectedShortfall(alpha), n)
         assert w.shape == (n,)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0.0)
         direct = -float(np.sort(xs) @ w)
         assert abs(eval_es(empirical(xs), alpha) - direct) < 1e-12
+
+
+def test_es_at_a_level_of_k_over_n_weighs_exactly_k_ranks():
+    # k/n times n may round past k, as 0.07 * 100 == 7.000000000000001 does
+    for n in range(1, 120):
+        for k in range(1, n):
+            assert np.count_nonzero(_order_weights(ExpectedShortfall(k / n), n)) == k
 
 
 def test_distortion_is_weighted_es():
@@ -165,7 +172,7 @@ def test_spectral_order_weights_normalized():
     for _ in range(50):
         sp = es_spectral_density(float(rng.uniform(0.1, 0.9)))
         n = int(rng.integers(1, 300))
-        w = spectral_order_weights(sp, n)
+        w = _order_weights(sp, n)
         assert w.shape == (n,)
         assert np.all(w >= -1e-15)
         assert abs(w.sum() - 1.0) < 1e-9

@@ -316,7 +316,7 @@ _BRUTE_PINS = {
         4782969,
     ),
     "mix_positive": (
-        "-0x1.0373636f03f53p-1",
+        "-0x1.0373636f03f54p-1",
         [
             "0x1.0000000000000p+0", "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0",
             "0x1.0000000000000p-2", "0x0.0p+0", "0x0.0p+0",
@@ -332,7 +332,7 @@ _BRUTE_PINS = {
         78125,
     ),
     "mix_6x4": (
-        "0x1.219dae31a0d72p-3",
+        "0x1.219dae31a0d78p-3",
         [
             "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0",
             "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
@@ -340,7 +340,7 @@ _BRUTE_PINS = {
         78125,
     ),
     "mix_knots": (
-        "0x1.2322899a149bbp-3",
+        "0x1.2322899a149b8p-3",
         [
             "0x1.5555555555555p-1", "0x1.0000000000000p+0", "0x1.5555555555555p-1", "0x1.5555555555555p-1",
             "0x1.5555555555555p-1", "0x0.0p+0",
@@ -373,7 +373,7 @@ _REFINE_PINS = {
         217,
     ),
     "refine_mix": (
-        "0x1.2227ee0833fd5p-3",
+        "0x1.2227ee0833fd1p-3",
         [
             "0x1.8000000000000p-1", "0x1.8000000000000p-1", "0x1.0000000000000p+0", "0x1.c000000000000p-1",
             "0x1.0000000000000p-1", "0x0.0p+0",
@@ -382,9 +382,9 @@ _REFINE_PINS = {
     ),
 }
 _OBJECTIVE_PINS = {
-    "objective_lin": ["0x1.72b375363617ep-3", "0x1.c0a7214d1f31ep-3", "0x1.7b14052dfe170p-3"],
+    "objective_lin": ["0x1.72b375363618bp-3", "0x1.c0a7214d1f31bp-3", "0x1.7b14052dfe178p-3"],
     "objective_ent": ["0x1.7a025714d1700p-5", "0x1.7bbf7b51acf00p-5", "0x1.8db2887de8900p-5"],
-    "objective_mix": ["0x1.5f38b6f5b8e39p-3", "0x1.39a22f2b6388ep-3", "0x1.5af993f66b224p-3"],
+    "objective_mix": ["0x1.5f38b6f5b8e37p-3", "0x1.39a22f2b6388ap-3", "0x1.5af993f66b222p-3"],
 }
 
 

@@ -52,7 +52,7 @@ from infconv import (
     value_and_grad,
 )
 from infconv.cli import parse_experiment, render_experiment
-from infconv.measures import leaves, sorted_risk
+from infconv.measures import _order_weights, leaves, sorted_risk
 from infconv.oracle import GridAllocation, brute_force_infconv, build_knots, oracle_objective
 
 MAX_DEPTH = 4
@@ -288,6 +288,7 @@ seeds = st.integers(0, 2**64 - 1)
 
 @given(distribution_calls(), seeds, seeds)
 @example((Uniform, (-1e308, 1e308)), 0, 0)  # hi - lo overflows: refused, not drawn as inf
+@example((NegBeta, (3.556101372430057e-307, 2.2250738585072014e-308)), 0, 0)  # NaN quantiles: refused
 def test_draws_lie_inside_the_support(call, seed, stream):
     dist = construct(call)
     lo, hi = support(dist)
@@ -325,6 +326,42 @@ def test_leaves_flatten_like_the_reference(spec):
         assert abs(w - w_ref) < 1e-15
         assert leaf == leaf_ref  # spectral leaves compare by identity
     assert abs(sum(w for w, _ in got) - 1.0) < 1e-12
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(1, 5000))
+@example(0.07, 100)  # 0.07 * 100 == 7.000000000000001
+@example(0.5, 1)
+@example(5e-324, 3)  # 1/alpha overflows
+def test_es_order_weights_match_the_tail_average(alpha, n):
+    # 1/(alpha*n) on the first floor(alpha*n) ranks, the fractional rest over
+    # alpha*n on the next rank, 0 after it
+    w = _order_weights(ExpectedShortfall(alpha), n)
+    t = alpha * n
+    full = int(np.floor(t))
+    want = np.zeros(n)
+    want[:full] = 1.0 / t
+    if full < n:
+        want[full] = (t - full) / t
+    assert np.all(np.abs(w - want) <= 1e-12 * want.max())
+    assert np.all(w >= -1e-15)
+    assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def exact_order_weights(density, n):
+    """The density's mass on each ((k-1)/n, k/n]: trapezoids are exact on the
+    grid refined by the k/n, as the density is linear between its points."""
+    edges = np.union1d(density.grid, np.arange(1, n) / n)
+    h = np.interp(edges, density.grid, density.values)
+    mass = 0.5 * (h[1:] + h[:-1]) * np.diff(edges)
+    rank = np.clip(np.ceil(n * 0.5 * (edges[1:] + edges[:-1])).astype(np.int64) - 1, 0, n - 1)
+    return np.bincount(rank, weights=mass, minlength=n)
+
+
+@given(spectral_densities(), st.integers(1, 5000))
+def test_spectral_order_weights_integrate_the_density_exactly(density, n):
+    # the weights sum to one; a rank given the wrong interval's mass would be
+    # off by about 1/n
+    assert np.all(np.abs(_order_weights(density, n) - exact_order_weights(density, n)) <= 1e-12)
 
 
 @st.composite

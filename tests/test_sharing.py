@@ -312,7 +312,6 @@ def test_history_shapes_and_statistics():
     assert np.allclose(flat.mean_loss, row, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_raises_with_context():
     cfg = TrainConfig(
         n_samples=200,
@@ -331,7 +330,6 @@ def test_divergent_training_raises_with_context():
     assert info.value.history.shape[0] <= cfg.epochs
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_ensemble_lists_members():
     cfg = TrainConfig(
         n_samples=200,
@@ -349,7 +347,6 @@ def test_divergent_ensemble_lists_members():
     assert "member" in str(info.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_epoch_mean_overflow_ends_the_member(monkeypatch):
     # finite batch losses whose epoch mean overflows to inf
     loss_and_cotangents = sharing.batch_loss_and_cotangents
@@ -586,7 +583,6 @@ def test_without_a_pinnable_blas_nothing_is_pinned_and_work_stays_serial(monkeyp
     assert counts[0] == (real and real[0]())  # the count training found, not a pin
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_pins_blas_to_one_thread_and_restores_the_callers_count(monkeypatch):
     _workers(monkeypatch, cpus=2)
     get, set_ = net._openblas()
@@ -650,7 +646,6 @@ def test_training_pins_blas_to_one_thread_and_restores_the_callers_count(monkeyp
     assert len(readings) > 0 and set(readings) == {1}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_concurrent_divergence_lists_members_in_order(monkeypatch):
     _workers(monkeypatch, cpus=2)
     cfg = replace(WIDE, learning_rate=1e300, ensemble_size=5)
