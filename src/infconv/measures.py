@@ -300,7 +300,7 @@ def eval_es(m: EmpiricalMeasure, alpha: float) -> float:
     The empirical tail average weighs the ceil(alpha*N)-th order statistic by
     the fractional part of alpha*N, so the value is continuous in alpha.
     """
-    return float(-(_order_weights(ExpectedShortfall(alpha), m.size) @ m.samples))
+    return evaluate(ExpectedShortfall(alpha), m)
 
 
 def eval_distortion(m: EmpiricalMeasure, components: tuple[tuple[float, float], ...]) -> float:
@@ -312,7 +312,7 @@ def eval_spectral(m: EmpiricalMeasure, density: Spectral) -> float:
     """Integral of the empirical value-at-risk against the density."""
     if not isinstance(density, Spectral):
         raise ValueError("density must be a Spectral spec")
-    return float(-(_order_weights(density, m.size) @ m.samples))
+    return evaluate(density, m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,17 @@ product and every bias-gradient sum runs along a long contiguous row rather
 than over a short inner axis once per row; weight gradients are the
 products delta @ a.T.
 
-forward evaluates in fixed blocks of 1024 rows, so its memory does not grow
-with the layer width times the batch size, and splits long batches' blocks
-over threads; value_and_grad keeps every activation of its batch for the
-pullback.  The rule that sizes those threads also sizes the ensemble's
-member threads in ``sharing``.
+One pass implementation, _Stack, runs k networks of one shape at once, over
+a leading stack axis, writing into buffers it allocates once for a batch
+length.  forward and value_and_grad are its k = 1 case; the training loop in
+``sharing`` runs a member's two networks as k = 2, with the bits of two
+separate passes.
+
+forward evaluates in fixed blocks of 1024 rows, each thread reusing one set
+of block buffers, so its memory does not grow with the layer width times the
+batch size, and splits long batches' blocks over threads; value_and_grad
+keeps every activation of its batch for the pullback.  The rule that sizes
+those threads also sizes the ensemble's member threads in ``sharing``.
 
 forward and training (in ``sharing``) hold numpy's OpenBLAS at one thread,
 so no output bit depends on the host's CPU count or its BLAS variables.
@@ -31,7 +37,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,13 +77,16 @@ def _size(widths: tuple[int, ...]) -> int:
 
 
 def _layers(flat: np.ndarray, widths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) views into a vector laid out W0, b0, W1, b1, ..."""
+    """Per-layer (weight, bias) views into a vector laid out W0, b0, W1, b1, ...
+
+    A (k, size) array of k such vectors gives (k, fan_out, fan_in) weights and
+    (k, fan_out) biases."""
     out = []
     start = 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        w = flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in)
+        w = flat[..., start : start + fan_out * fan_in].reshape(*flat.shape[:-1], fan_out, fan_in)
         start += fan_out * fan_in
-        out.append((w, flat[start : start + fan_out]))
+        out.append((w, flat[..., start : start + fan_out]))
         start += fan_out
     return out
 
@@ -143,22 +152,127 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def _pull_activation(delta: np.ndarray, a: np.ndarray, activation: str) -> None:
-    """Multiply delta in place by the activation's derivative, from its output a."""
+def _pull_activation(delta: np.ndarray, a: np.ndarray, activation: str, tmp: np.ndarray) -> None:
+    """Multiply delta in place by the activation's derivative, from its output
+    a, using tmp (of a's shape: bool for relu, float for tanh) as scratch."""
     if activation == "relu":
-        delta *= a > 0.0  # derivative at 0 is 0
+        np.greater(a, 0.0, out=tmp)  # derivative at 0 is 0
+        delta *= tmp
     elif activation == "tanh":
-        delta *= 1.0 - a * a
+        np.multiply(a, a, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        delta *= tmp
 
 
-def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ a + b[:, None] into a new (fan_out, rows) array, from the
-    feature-major input a of shape (fan_in, rows).  With fan_in 1 the product
-    has one term per entry, so it is the broadcast multiply w * a: the same
-    bits as the K=1 matrix product at a fraction of its cost."""
-    z = w * a if w.shape[1] == 1 else w @ a
-    z += b[:, None]
-    return z
+class _Stack:
+    """Passes of k networks of one shape, stacked along a leading axis, over
+    buffers sized for batches of up to ``rows`` rows.
+
+    ``params`` holds the k parameter vectors back to back; each layer's
+    weights and biases are (k, fan_out, fan_in) and (k, fan_out) views into
+    it, so new values written into ``params`` are the stack's next weights.
+    Every activation, delta and gradient lives in a buffer allocated here
+    once.  A batch of n rows uses the first k * width * n entries of a
+    buffer, shaped (k, width, n): the layout of a fresh array, so every
+    product and sum gives the bits of k separate passes.  Values and
+    gradients are views into these buffers, which the next pass overwrites.
+
+    Products with one inner term (fan-in 1 forward, fan-out 1 backward) are
+    a copy and an in-place broadcast multiply: one term per entry, so the
+    bits of the K=1 matrix product, and cheaper than the matrix product or
+    a single broadcast multiply into the buffer.
+    """
+
+    def __init__(self, params: np.ndarray, k: int, widths: tuple[int, ...], activation: str,
+                 rows: int, grad: bool = True):
+        size = _size(widths)
+        self.widths = widths
+        self.activation = activation
+        # per layer: weights, biases broadcast along the rows, transposed weights
+        self._layers = [
+            (w, b[:, :, None], w.transpose(0, 2, 1)) for w, b in _layers(params.reshape(k, size), widths)
+        ]
+        self._outs = [np.empty((k, fan_out, rows)) for fan_out in widths[1:]]
+        self._deltas: tuple[np.ndarray, ...] = ()
+        self._mask: np.ndarray | None = None
+        if grad:
+            self.grad = np.empty(k * size)
+            self._grads = _layers(self.grad.reshape(k, size), widths)
+            # two delta buffers, used in turn; the top delta and tanh's
+            # derivative go to whichever is free, relu's mask to a bool buffer
+            # (multiplying by a bool mask is the cheaper pass at width 64)
+            self._deltas = tuple(np.empty((k, max(widths[1:]), rows)) for _ in range(2))
+            if activation == "relu":
+                self._mask = np.empty((k, max(widths[1:]), rows), dtype=bool)
+        self._views: dict[int, tuple] = {}
+        self._xs = np.empty(0)
+
+    def _sized(self, n: int) -> tuple:
+        """Views of every buffer for a batch of n rows, built on first use."""
+        views = self._views.get(n)
+        if views is None:
+
+            def head(buf: np.ndarray, width: int) -> np.ndarray:
+                return buf.reshape(-1)[: buf.shape[0] * width * n].reshape(buf.shape[0], width, n)
+
+            outs = [head(buf, buf.shape[1]) for buf in self._outs]
+            deltas = []
+            if self._deltas:
+                last = len(self._layers) - 1
+                # the delta below layer i goes to buffer (last - i) % 2, its
+                # scratch to the other; the top delta to buffer 1, which the
+                # last layer reads before its scratch overwrites it
+                for i in range(last + 1):
+                    below = self._deltas[(last - i) % 2]
+                    scratch = self._deltas[1 - (last - i) % 2] if self._mask is None else self._mask
+                    deltas.append((head(below, self.widths[i]), head(scratch, self.widths[i])))
+                deltas.append(head(self._deltas[1], 1))
+            views = self._views[n] = (outs, deltas)
+        return views
+
+    def forward(self, xs: np.ndarray) -> np.ndarray:
+        """The k networks' values on a 1-d batch of n <= ``rows`` rows, as a
+        (k, n) view; keeps every activation for ``pullback``."""
+        outs, _ = self._sized(xs.size)
+        self._xs = xs
+        a = xs[None, None, :]
+        last = len(outs) - 1
+        for i, ((w, b, _), z) in enumerate(zip(self._layers, outs)):
+            if w.shape[2] == 1:
+                z[...] = a
+                z *= w
+            else:
+                np.matmul(w, a, out=z)
+            z += b
+            if i < last:
+                _activate(z, self.activation)
+            a = z
+        return a[:, 0, :]
+
+    def pullback(self, upstream: Sequence[np.ndarray]) -> np.ndarray:
+        """Gradient of sum_j upstream[j] @ values[j] for the last forward
+        batch, flat in ``params`` order: a view of the stack's buffer."""
+        xs = self._xs
+        outs, deltas = self._sized(xs.size)
+        inputs = [xs[None, None, :], *outs]
+        delta = deltas[-1]
+        for j, u in enumerate(upstream):
+            delta[j, 0] = u
+        for i in range(len(self._layers) - 1, -1, -1):
+            grad_w, grad_b = self._grads[i]
+            np.matmul(delta, inputs[i].transpose(0, 2, 1), out=grad_w)
+            np.add.reduce(delta, axis=2, out=grad_b)
+            if i > 0:
+                w_t = self._layers[i][2]
+                below, tmp = deltas[i]
+                if w_t.shape[2] == 1:
+                    below[...] = delta
+                    below *= w_t
+                else:
+                    np.matmul(w_t, delta, out=below)
+                _pull_activation(below, inputs[i], self.activation, tmp)
+                delta = below
+        return self.grad
 
 
 def _check_batch(xs: np.ndarray) -> np.ndarray:
@@ -279,27 +393,24 @@ def forward(mlp: Mlp, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of scalars, keeping no activations.
 
     Rows go through every layer in blocks of _BLOCK_ROWS that start at row 0,
-    so the live activations stay cache-sized however long the batch is.  A
-    batch of two or more blocks at width 32 or more (the _workers rule) splits
-    its blocks into contiguous runs, one per thread, all writing into one
-    output.  The blocks do not move, so every output bit is the same as on
-    one thread.  The pass runs with BLAS pinned to one thread, so its bits do
-    not depend on the host's BLAS thread count either.
+    so the live activations stay cache-sized however long the batch is; each
+    thread reuses one set of block buffers.  A batch of two or more blocks
+    at width 32 or more (the _workers rule) splits its blocks into
+    contiguous runs, one per thread, all writing into one output.  The
+    blocks do not move, so every output bit is the same as on one thread.
+    The pass runs with BLAS pinned to one thread, so its bits do not depend
+    on the host's BLAS thread count either.
     """
     xs = _check_batch(xs)
-    layers = _layers(mlp.params, mlp.widths)
-    last = len(layers) - 1
     out = np.empty_like(xs)
     starts = range(0, xs.size, _BLOCK_ROWS)
     workers = _workers(len(starts), _BLOCK_ROWS * max(mlp.widths))
+    rows = min(xs.size, _BLOCK_ROWS)
 
     def run(j: int) -> None:
+        stack = _Stack(mlp.params, 1, mlp.widths, mlp.activation, rows, grad=False)
         for start in starts[len(starts) * j // workers : len(starts) * (j + 1) // workers]:
-            a = xs[None, start : start + _BLOCK_ROWS]
-            for i, (w, b) in enumerate(layers):
-                z = _affine(a, w, b)
-                a = z if i == last else _activate(z, mlp.activation)
-            out[start : start + _BLOCK_ROWS] = a[0]
+            out[start : start + _BLOCK_ROWS] = stack.forward(xs[start : start + _BLOCK_ROWS])[0]
 
     _in_threads(run, workers, "infconv-forward")
     return out
@@ -316,33 +427,16 @@ def value_and_grad(
     ``mlp.params`` is replaced in between.
     """
     xs = _check_batch(xs)
-    params, widths, activation = mlp.params, mlp.widths, mlp.activation
-    layers = _layers(params, widths)
-    inputs = [xs[None, :]]  # input of every layer; inputs[i + 1] is layer i's output
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = _affine(inputs[-1], w, b)
-        inputs.append(z if i == last else _activate(z, activation))
+    stack = _Stack(mlp.params, 1, mlp.widths, mlp.activation, xs.size)
+    values = stack.forward(xs)[0]
 
     def pullback(upstream: np.ndarray) -> np.ndarray:
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != xs.shape:
             raise ValueError("upstream weights must match the input batch shape")
-        grad = np.empty_like(params)
-        grad_layers = _layers(grad, widths)
-        delta = upstream[None, :]
-        for i in range(last, -1, -1):
-            grad_w, grad_b = grad_layers[i]
-            grad_w[...] = delta @ inputs[i].T
-            grad_b[...] = delta.sum(axis=1)
-            if i > 0:
-                w = layers[i][0]
-                # one output row: a broadcast multiply instead of a K=1 product
-                delta = w.T * delta if w.shape[0] == 1 else w.T @ delta
-                _pull_activation(delta, inputs[i], activation)
-        return grad
+        return stack.pullback((upstream,)).copy()
 
-    return inputs[-1][0], pullback
+    return values, pullback
 
 
 def param_count(mlp: Mlp) -> int:

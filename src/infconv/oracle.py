@@ -248,12 +248,27 @@ class _Scorer:
             vz = pick(self.lefts, z)
             v1 = [vz - run for run in reversed(list(down))] + [vz] + [vz + run for run in up]
             v2 = [left - v for left, v in zip(self.left, v1)]
+            # each leaf's max-shift, exps, sum and log run in place in
+            # full-size buffers, in the order of the plain expression
+            # w * beta * (max + log(sum of exp(x - max)) - log n)
+            top, sums, tmp = (np.empty([len(c) for c in choices]) for _ in range(3))
             for v, entropic in ((v1, self.entropic1), (v2, self.entropic2)):
                 for w, beta, log_sums in entropic:
                     a = [pick(log_sums, s) - v[s] / beta for s in range(n_seg)]
-                    top = functools.reduce(np.maximum, a)
-                    sums = functools.reduce(np.add, (np.exp(x - top) for x in a))
-                    total = total + w * beta * (top + np.log(sums) - self.log_n)
+                    top[...] = a[0]
+                    for x in a[1:]:
+                        np.maximum(top, x, out=top)
+                    np.subtract(a[0], top, out=sums)
+                    np.exp(sums, out=sums)
+                    for x in a[1:]:
+                        np.subtract(x, top, out=tmp)
+                        np.exp(tmp, out=tmp)
+                        sums += tmp
+                    np.log(sums, out=sums)
+                    np.add(top, sums, out=sums)
+                    sums -= self.log_n
+                    sums *= w * beta
+                    total = total + sums
         return np.broadcast_to(total, [len(c) for c in choices]).reshape(-1)
 
 

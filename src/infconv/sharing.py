@@ -26,7 +26,7 @@ from .measures import (
     sorted_risk,
 )
 from . import net
-from .net import ACTIVATIONS, Mlp, forward, init_mlp, value_and_grad
+from .net import ACTIVATIONS, Mlp, forward, init_mlp
 from .optim import OptimizerError, init_adam, init_plateau, adam_step, plateau_step
 from .oracle import brute_force_infconv, build_knots
 from .sampling import RngSeed, make_generator, wasserstein_p
@@ -224,7 +224,7 @@ def _member_epochs(
     """train_member as a generator that yields between epochs and returns
     the MemberResult, so that a scheduler can interleave members epoch by
     epoch.  A waiting member holds its parameters and optimizer state, but
-    not the activations of its last batch."""
+    no pass buffer: each epoch builds its own."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size != config.n_samples:
         raise ValueError("sample vector does not match config.n_samples")
@@ -236,8 +236,10 @@ def _member_epochs(
     phi1 = init_mlp(config.widths, config.activation, RngSeed(config.base_seed, 4 * member + 1))
     phi2 = init_mlp(config.widths, config.activation, RngSeed(config.base_seed, 4 * member + 2))
     shuffler = make_generator(RngSeed(config.base_seed, 4 * member + 3))
-    adam1 = init_adam(phi1.params, config.learning_rate)
-    adam2 = init_adam(phi2.params, config.learning_rate)
+    # both networks' parameters back to back: one stacked pass and one Adam
+    # state serve the pair, with the bits of two, as Adam is elementwise
+    params = np.concatenate([phi1.params, phi2.params])
+    adam = init_adam(params, config.learning_rate)
     plateau = init_plateau(config.patience, config.threshold, config.factor, config.min_lr)
 
     lr = config.learning_rate
@@ -252,20 +254,21 @@ def _member_epochs(
         with np.errstate(over="ignore", invalid="ignore"):
             order = shuffler.permutation(config.n_samples)
             batch_losses = []
+            # this epoch's activation, delta and gradient buffers
+            pair = net._Stack(params, 2, config.widths, config.activation, config.batch_size)
             try:
                 for batch, start in enumerate(range(0, config.n_samples, config.batch_size)):
                     # the loss ignores row order; sorted rows come out of the networks
                     # in a few monotone runs, which keeps the risk kernel's argsorts cheap
                     xb = np.sort(samples[order[start : start + config.batch_size]])
-                    v1, pull1 = value_and_grad(phi1, xb)
-                    v2, pull2 = value_and_grad(phi2, xb)
+                    values = pair.forward(xb)
                     # raises ValueError on non-finite network outputs
-                    loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, v1, v2)
+                    loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, values[0], values[1])
                     if not np.isfinite(loss):
                         raise ValueError("non-finite loss")
                     batch_losses.append(loss)
-                    phi1.params, adam1 = adam_step(adam1, phi1.params, pull1(cot1))
-                    phi2.params, adam2 = adam_step(adam2, phi2.params, pull2(cot2))
+                    new_params, adam = adam_step(adam, params, pair.pullback((cot1, cot2)))
+                    params[...] = new_params
                 epoch_loss = float(np.mean(batch_losses))
                 new_lr, plateau = plateau_step(plateau, epoch_loss, lr)
             except (ValueError, OptimizerError) as exc:
@@ -273,15 +276,15 @@ def _member_epochs(
                     f"member {member}: {exc} at epoch {epoch}, batch {batch}",
                     member, epoch, batch, losses[:epoch].copy(),
                 ) from exc
-        # a waiting member must not keep these: the pullbacks hold every activation of the batch
-        del order, xb, v1, v2, pull1, pull2, cot1, cot2
+        # a waiting member must not keep the pass buffers, nor views into them
+        del order, xb, pair, values, cot1, cot2, new_params
         losses[epoch] = epoch_loss
         lrs[epoch] = lr
         if new_lr != lr:
             lr = new_lr
-            adam1 = replace(adam1, lr=lr)
-            adam2 = replace(adam2, lr=lr)
+            adam = replace(adam, lr=lr)
 
+    phi1.params, phi2.params = (half.copy() for half in np.split(params, 2))
     return MemberResult(phi1=phi1, phi2=phi2, losses=losses, lrs=lrs)
 
 
@@ -512,13 +515,17 @@ def distortion_density_norm(spec: RiskMeasure, q: float) -> float:
         width = t[j + 1] - t[j]
         a += w * (left[j] + (right[j] - left[j]) * ((edges[:-1] - t[j]) / width))
         b += w * (right[j] + (left[j] - right[j]) * ((t[j + 1] - edges[1:]) / width))
+    peak = float(max(a.max(), b.max()))
     if np.isinf(q):
-        return float(max(a.max(), b.max()))
+        return peak
+    # powers of the density relative to its peak, so that a tall, narrow
+    # density (ES at a tiny level) does not overflow: norm = peak * ||f / peak||
+    a, b = a / peak, b / peak
     flat = np.isclose(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         seg = (b ** (q + 1.0) - a ** (q + 1.0)) / ((q + 1.0) * (b - a))
     seg = np.where(flat, a**q, seg)
-    return float((seg @ np.diff(edges)) ** (1.0 / q))
+    return peak * float((seg @ np.diff(edges)) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from infconv import (
     parse_risk_spec,
     render_risk_spec,
 )
-from infconv.measures import _order_weights
+from infconv.measures import _compile, _order_weights
 
 
 def random_spec(rng, depth=0, parseable=False):
@@ -165,6 +165,20 @@ def test_spectral_step_density_matches_es():
         sp = es_spectral_density(alpha)
         m = empirical(xs)
         assert abs(eval_spectral(m, sp) - eval_es(m, alpha)) < 1e-9
+
+
+def test_es_and_spectral_evaluations_read_the_compile_cache():
+    m = empirical(np.random.default_rng(17).normal(size=1001))
+    density = es_spectral_density(0.3)
+    for leaf, call in ((ExpectedShortfall(0.3), lambda: eval_es(m, 0.3)),
+                       (density, lambda: eval_spectral(m, density))):
+        first = call()
+        before = _compile.cache_info()
+        assert call() == first
+        after = _compile.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        # the cached weights are the leaf's order weights, bit for bit
+        assert first == float(-(_order_weights(leaf, m.size) @ m.samples))
 
 
 def test_spectral_order_weights_normalized():

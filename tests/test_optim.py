@@ -1,5 +1,7 @@
 """Adam updates and learning-rate plateau scheduling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,23 @@ def test_plateau_validation():
         init_plateau(patience=1, factor=1.5)
     with pytest.raises(ValueError):
         init_plateau(patience=1, threshold=-1.0)
+
+
+def test_adam_over_a_concatenation_gives_the_bits_of_two_steps():
+    # training runs one state over both networks' parameters back to back
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=7), rng.normal(size=5)
+    state_a, state_b = init_adam(a, 1e-2), init_adam(b, 1e-2)
+    both, state = np.concatenate([a, b]), init_adam(np.concatenate([a, b]), 1e-2)
+    for step in range(30):
+        ga = rng.normal(size=a.size) * 10.0 ** rng.integers(-8, 9, size=a.size)
+        gb = rng.normal(size=b.size) * 10.0 ** rng.integers(-8, 9, size=b.size)
+        gb[step % b.size] = 0.0
+        if step == 15:  # a plateau cut, applied to every state
+            state_a, state_b, state = (replace(s, lr=s.lr * 0.1) for s in (state_a, state_b, state))
+        a, state_a = adam_step(state_a, a, ga)
+        b, state_b = adam_step(state_b, b, gb)
+        both, state = adam_step(state, both, np.concatenate([ga, gb]))
+        assert both.tobytes() == np.concatenate([a, b]).tobytes()
+        assert state.m.tobytes() == np.concatenate([state_a.m, state_b.m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([state_a.v, state_b.v]).tobytes()

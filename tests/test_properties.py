@@ -17,18 +17,21 @@ from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
+from infconv import net as net_module
 from infconv import (
     ACTIVATIONS,
     Combination,
     Distortion,
     Entropic,
     ExpectedShortfall,
+    Mlp,
     NegBeta,
     RngSeed,
     Spectral,
     TruncNormal,
     Uniform,
     batch_loss_and_cotangents,
+    distortion_density_norm,
     empirical,
     es_spectral_density,
     eval_entropic,
@@ -392,6 +395,46 @@ def test_pullback_is_flat_and_linear_in_upstream(net, xs, c, data):
     assert g1.shape == (param_count(net),)
     scale = max(1.0, np.abs(g1).max(), np.abs(g2).max())
     assert np.allclose(pullback(c * u1 + u2), c * g1 + g2, rtol=0.0, atol=1e-12 * scale)
+
+
+@given(
+    st.lists(st.integers(1, 71), min_size=1, max_size=3),
+    st.sampled_from(ACTIVATIONS),
+    st.integers(1, 1500),
+    st.data(),
+)
+# one-wide layers: one-column products forward, one-row products backward
+@example([1, 1], "relu", 7, None)
+def test_a_stack_of_two_networks_gives_the_bits_of_two_passes(hidden, activation, rows, data):
+    widths = (1, *hidden, 1)
+    size = net_module._size(widths)
+    rng = np.random.default_rng(rows if data is None else data.draw(st.integers(0, 2**16)))
+    params = rng.normal(size=2 * size)
+    stack = net_module._Stack(params, 2, widths, activation, rows)
+    # a full batch, then a short last one in the same buffers
+    short = max(1, rows // 3) if data is None else data.draw(st.integers(1, rows))
+    for n in (rows, short):
+        xs = np.sort(rng.uniform(-3.0, 3.0, size=n))
+        xs[rng.random(n) < 0.1] = 0.0
+        upstream = rng.normal(size=(2, n))
+        upstream[:, rng.random(n) < 0.1] = 0.0
+        values = stack.forward(xs).copy()
+        grad = stack.pullback(upstream).copy()
+        for j in range(2):
+            net = Mlp(widths, activation, params[j * size : (j + 1) * size].copy())
+            want, pullback = value_and_grad(net, xs)
+            assert values[j].tobytes() == want.tobytes()
+            assert grad[j * size : (j + 1) * size].tobytes() == pullback(upstream[j]).tobytes()
+
+
+@given(st.floats(1e-300, 1.0, exclude_max=True), st.sampled_from([1.5, 2.0, 3.0, np.inf]))
+@example(1e-300, 2.0)
+@example(1e-200, 2.0)
+@example(1e-300, 3.0)
+def test_shortfall_density_norm_is_a_power_of_the_level(alpha, q):
+    # the L^q norm of 1/alpha on (0, alpha], also where (1/alpha)**q overflows
+    want = alpha ** (1.0 / q - 1.0)
+    assert abs(distortion_density_norm(ExpectedShortfall(alpha), q) - want) <= 1e-12 * want
 
 
 def reference_json(net):

@@ -215,13 +215,13 @@ def test_training_sees_each_drawn_batch_sorted(monkeypatch):
     cfg = TrainConfig(n_samples=1000, batch_size=300, epochs=2, hidden_widths=(8,), base_seed=6)
     xs = draw(U, cfg.n_samples, RngSeed(cfg.base_seed, 0))
     seen = []
-    real = sharing.value_and_grad
+    real = net._Stack.forward
 
-    def recording(mlp, batch):
+    def recording(stack, batch):
         seen.append(np.array(batch))
-        return real(mlp, batch)
+        return real(stack, batch)
 
-    monkeypatch.setattr(sharing, "value_and_grad", recording)
+    monkeypatch.setattr(net._Stack, "forward", recording)
     member = 2
     train_member(xs, Entropic(2.0), Entropic(3.0), cfg, member=member)
 
@@ -231,8 +231,8 @@ def test_training_sees_each_drawn_batch_sorted(monkeypatch):
         perm = shuffler.permutation(cfg.n_samples)
         for start in range(0, cfg.n_samples, cfg.batch_size):
             batch = np.sort(xs[perm[start : start + cfg.batch_size]])
-            want += [batch, batch]  # one pass per network
-    assert [b.size for b in want] == [300, 300, 300, 300, 300, 300, 100, 100] * cfg.epochs
+            want.append(batch)  # one stacked pass for both networks
+    assert [b.size for b in want] == [300, 300, 300, 100] * cfg.epochs
     assert len(seen) == len(want)
     for got, expected in zip(seen, want):
         assert np.all(np.diff(got) >= 0.0)
@@ -366,18 +366,71 @@ def test_epoch_mean_overflow_ends_the_member(monkeypatch):
     assert [f.member for f in info.value.failures] == [0, 1]
 
 
+def test_each_step_calls_the_batch_loss_through_the_module_once(monkeypatch):
+    # the benchmark's tracer counts training steps at this module attribute
+    calls = []
+    loss_and_cotangents = sharing.batch_loss_and_cotangents
+
+    def counting(*args):
+        calls.append(None)
+        return loss_and_cotangents(*args)
+
+    monkeypatch.setattr(sharing, "batch_loss_and_cotangents", counting)
+    cfg = replace(TINY, n_samples=1000, batch_size=300, epochs=3)  # 3 full batches and one of 100
+    train_member(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg, member=1)
+    assert len(calls) == cfg.epochs * 4
+    calls.clear()
+    train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
+    assert len(calls) == cfg.ensemble_size * cfg.epochs * 4
+
+
+def _arrays_within(obj, depth=4):
+    """Every ndarray reachable from obj through containers, object attributes
+    and array bases, to the given depth."""
+    if isinstance(obj, np.ndarray):
+        found = [obj]
+        if obj.base is not None and depth:
+            found += _arrays_within(obj.base, depth - 1)
+        return found
+    if not depth or isinstance(obj, (type, type(np), str, bytes)) or callable(obj):
+        return []
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__"):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [a for item in items for a in _arrays_within(item, depth - 1)]
+
+
+def test_a_waiting_member_holds_no_pass_buffer():
+    # a pass buffer has two or more dimensions and one entry per batch row on
+    # its last axis; 1000 samples in batches of 300 end in a batch of 100
+    cfg = replace(TINY, n_samples=1000, batch_size=300, epochs=3)
+    epochs = sharing._member_epochs(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg, 0)
+    for _ in range(cfg.epochs - 1):
+        next(epochs)
+        held = _arrays_within(epochs.gi_frame.f_locals)
+        assert held, "the walk reaches the member's arrays"
+        assert not [a.shape for a in held if a.ndim >= 2 and a.shape[-1] in (300, 100)]
+    with pytest.raises(StopIteration):
+        next(epochs)
+
+
 def test_non_finite_network_output_names_member_epoch_and_batch(monkeypatch):
-    value_and_grad = sharing.value_and_grad
+    real = net._Stack.forward
     passes = []
 
-    def inf_at_epoch_1_batch_3(mlp, xs):
-        values, pullback = value_and_grad(mlp, xs)
+    def inf_at_epoch_1_batch_3(stack, xs):
+        values = real(stack, xs)
         passes.append(None)
-        if len(passes) == 2 * (10 + 3) + 1:  # two passes a step, ten batches an epoch
+        if len(passes) == 10 + 3 + 1:  # one pass a step, ten batches an epoch
             values = np.full_like(values, np.inf)
-        return values, pullback
+        return values
 
-    monkeypatch.setattr(sharing, "value_and_grad", inf_at_epoch_1_batch_3)
+    monkeypatch.setattr(net._Stack, "forward", inf_at_epoch_1_batch_3)
     with pytest.raises(TrainingError) as info:
         train_member(tiny_samples(), Entropic(2.0), Entropic(3.0), TINY, member=2)
     assert (info.value.member, info.value.epoch, info.value.batch) == (2, 1, 3)
