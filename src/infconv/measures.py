@@ -282,11 +282,7 @@ def _ceil_index(u: float, n: int) -> int:
 
 def eval_entropic(m: EmpiricalMeasure, beta: float) -> float:
     """beta * log mean(exp(-x/beta)), stabilized by a max shift."""
-    beta = _check_positive("beta", beta)
-    low = float(m.samples[0])  # samples sorted ascending, so low carries the largest exponent
-    with np.errstate(over="ignore"):  # an exponent of -inf is exact: its term is 0
-        total = float(np.exp((low - m.samples) / beta).sum())
-    return beta * (np.log(total) - np.log(m.size)) - low
+    return evaluate(Entropic(beta), m)
 
 def eval_var(m: EmpiricalMeasure, u: float) -> float:
     """Left-continuous empirical value-at-risk -x_(ceil(N*u)) at level u."""
@@ -323,6 +319,14 @@ Leaf = Entropic | ExpectedShortfall | Spectral
 
 # Distinct (spec, sample size) pairs whose compiled weights are kept.
 _COMPILE_CACHE = 64
+
+# Sample range over beta below which an entropic leaf is valued as
+# beta * log1p(mean(expm1(e))).  The plain beta * log(mean(exp(e))) cancels
+# there: against 60-digit references its worst error grew from 1e-13 of the
+# sample's largest |x| at 1e-2 to 1.4e-12 at 1e-3 and 8.5e-10 at 1e-6, and
+# from about 1e-16 on it returns -min(x); the log1p form stayed within
+# 4.1e-16.  Above the cut the log form, and its bits, are kept.
+_NARROW_ENTROPIC = 1e-2
 
 
 def _density_pieces(leaf: Leaf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,9 +415,14 @@ def sorted_risk(spec: RiskMeasure, xs: np.ndarray, grad: bool = False):
         # that overflows to -inf is exact, as its term is 0
         with np.errstate(over="ignore"):
             e = (xs[0] - xs) / beta
+        # e[-1] is -range/beta; on a narrow range the mean of exp(e) lies
+        # next to 1 and its log cancels, so the value comes from the mean
+        # excess; the gradient's weights are accurate either way
+        narrow = beta * np.log1p(np.expm1(e).mean()) if e[-1] > -_NARROW_ENTROPIC else None
         np.exp(e, out=e)
         total = e.sum()
-        value = value + w * (beta * (np.log(total) - np.log(n)) - xs[0])
+        spread = beta * (np.log(total) - np.log(n)) if narrow is None else narrow
+        value = value + w * (spread - xs[0])
         if grad:
             g -= w * (e / total)
     return (value, g) if grad else value

@@ -1,10 +1,10 @@
 """Brute-force reference solver for the optimal risk-sharing objective.
 
 Candidate allocations are piecewise-linear functions anchored at zero with
-segment slopes in [0, 1] on a fixed knot grid.  The solver enumerates every
-slope vector on a discrete level grid, evaluates the pooled objective exactly
-on the empirical sample, and returns the best candidate.  A strict-improvement
-coordinate descent can then polish the slopes off the level grid.
+segment slopes in [0, 1] on a fixed knot grid.  The solver finds the best
+slope vector on a discrete level grid, with the pooled objective evaluated
+exactly on the empirical sample.  A strict-improvement coordinate descent can
+then polish the slopes off the level grid.
 
 Monotonicity does the heavy lifting: every candidate and its complement are
 non-decreasing maps of a sorted sample, so each measure weighs the sample in
@@ -14,13 +14,17 @@ times the offset from the knot.  The risk kernel's compiled form
 term is linear in the slopes, and entropic leaves, whose log-mean-exp is a
 sum over segments of per-segment sums tabulated once per slope value.
 
-Candidates are scored as Cartesian products of per-segment choices: each
-per-segment table is indexed once by its segment's choices and broadcast
-along that segment's axis, so one call scores a whole block of trailing
-segments under a fixed prefix from small arrays.  No solve gathers per
-candidate or builds a samples-by-candidates matrix, and every value is
-summed in one fixed order, so it has the same bits however candidates are
-grouped into calls.
+Without entropic leaves a candidate's value is a sum of one term per
+segment, so the solver picks the best slope segment by segment and
+enumerates nothing.  With them, candidates are scored as Cartesian products
+of per-segment choices: each per-segment table is indexed once by its
+segment's choices and broadcast along that segment's axis, so one call
+scores a whole block of segments under fixed digits for the others from
+small arrays, and each entropic leaf's log-sum is split at the segment
+holding 0 into two one-sided sums, each kept while its digits repeat.  No solve
+gathers per candidate or builds a samples-by-candidates matrix, and every
+value is summed in one fixed order, so it has the same bits however
+candidates are grouped into calls.
 """
 
 from __future__ import annotations
@@ -178,6 +182,25 @@ def _log_segment_sums(d: np.ndarray, bounds: np.ndarray, slopes: np.ndarray, bet
     return out
 
 
+def _log_sum_exp(terms: list, shape: tuple) -> np.ndarray:
+    """log sum exp of broadcast ``terms`` in a new array of ``shape``:
+    each is shifted by their elementwise maximum, summed in list order."""
+    top = np.empty(shape)
+    top[...] = terms[0]
+    for x in terms[1:]:
+        np.maximum(top, x, out=top)
+    sums = np.subtract(terms[0], top)
+    np.exp(sums, out=sums)
+    tmp = np.empty(shape)
+    for x in terms[1:]:
+        np.subtract(x, top, out=tmp)
+        np.exp(tmp, out=tmp)
+        sums += tmp
+    np.log(sums, out=sums)
+    sums += top
+    return sums
+
+
 class _Scorer:
     """Pooled objective of products of per-segment digits into ``slope_values``.
 
@@ -191,6 +214,14 @@ class _Scorer:
     tables (theta * gain, theta * width, theta * left knot, log-sums) once
     by its choices and combines them by broadcasting, segment 0 first, so a
     candidate's value does not depend on which product it was scored in.
+
+    V_s is summed outward from the segment z that holds 0, so an entropic
+    leaf's log-sum over the segments at and above z depends on the digits
+    z..n-1 only, and over those below z on the digits 0..z only.  Each such
+    side is a log-sum-exp on its own small broadcast shape over the segments
+    that hold a sample; the last table of every leaf and side is kept and
+    reused while that side's digits repeat, and the two sides meet per
+    candidate as max + log1p(exp(min - max)).
     """
 
     def __init__(self, spec1: RiskMeasure, spec2: RiskMeasure, m: EmpiricalMeasure,
@@ -199,7 +230,7 @@ class _Scorer:
         n = xs.size
         self.left = knots[:-1]
         # the segment holding 0, where the candidate's value is theta * x
-        self.zero = int(np.clip(np.searchsorted(knots, 0.0, side="right") - 1, 0, self.left.size - 1))
+        self.zero = z = int(np.clip(np.searchsorted(knots, 0.0, side="right") - 1, 0, self.left.size - 1))
         bounds = np.searchsorted(xs, self.left)
         bounds[0] = 0
         bounds = np.append(bounds, n)
@@ -226,12 +257,20 @@ class _Scorer:
             (w, beta, _log_segment_sums(d, bounds, 1.0 - slope_values, beta)) for w, beta in ent2
         ]
         self.log_n = np.log(n)
+        # (name, segments that hold a sample, digits its log-sums depend on)
+        held = np.flatnonzero(np.diff(bounds)).tolist()
+        up, down = [s for s in held if s >= z], [s for s in held if s < z]
+        sides = (("up", up, slice(z, None)), ("down", down, slice(0, z + 1)))
+        self.sides = [side for side in sides if side[1]]
+        self._tables: dict = {}  # (agent, leaf, side name) -> (its digits, its last table)
+        self._scratch = (np.empty(0), np.empty(0))
 
     def __call__(self, choices: list) -> np.ndarray:
         """Objective of every candidate in the product of ``choices``, where
         ``choices[s]`` lists segment s's digits into ``slope_values``; flat,
         in lexicographic order (the last segment varies fastest)."""
         n_seg = len(choices)
+        shape = tuple(len(c) for c in choices)
 
         def pick(table: np.ndarray, s: int):
             # row s at segment s's choices, along axis s; one choice is a scalar
@@ -239,37 +278,60 @@ class _Scorer:
             return row[0] if row.size == 1 else row.reshape((-1,) + (1,) * (n_seg - 1 - s))
 
         total = self.offset + functools.reduce(np.add, (pick(self.gains, s) for s in range(n_seg)))
-        if self.entropic1 or self.entropic2:
-            # values at the left knots, overlap_matrix(knots[:-1], knots) @ thetas,
-            # summed outward from the segment holding 0
+        if not (self.entropic1 or self.entropic2):
+            return np.broadcast_to(total, shape).reshape(-1)
+
+        def knot_values(segs: list) -> list:
+            # values at the left knots of segs, overlap_matrix(knots[:-1], knots)
+            # @ thetas, summed outward from the segment holding 0
             z = self.zero
-            up = itertools.accumulate(pick(self.steps, s) for s in range(z, n_seg - 1))
-            down = itertools.accumulate(pick(self.steps, s) for s in range(z - 1, -1, -1))
-            vz = pick(self.lefts, z)
-            v1 = [vz - run for run in reversed(list(down))] + [vz] + [vz + run for run in up]
-            v2 = [left - v for left, v in zip(self.left, v1)]
-            # each leaf's max-shift, exps, sum and log run in place in
-            # full-size buffers, in the order of the plain expression
-            # w * beta * (max + log(sum of exp(x - max)) - log n)
-            top, sums, tmp = (np.empty([len(c) for c in choices]) for _ in range(3))
-            for v, entropic in ((v1, self.entropic1), (v2, self.entropic2)):
-                for w, beta, log_sums in entropic:
-                    a = [pick(log_sums, s) - v[s] / beta for s in range(n_seg)]
-                    top[...] = a[0]
-                    for x in a[1:]:
-                        np.maximum(top, x, out=top)
-                    np.subtract(a[0], top, out=sums)
-                    np.exp(sums, out=sums)
-                    for x in a[1:]:
-                        np.subtract(x, top, out=tmp)
-                        np.exp(tmp, out=tmp)
-                        sums += tmp
-                    np.log(sums, out=sums)
-                    np.add(top, sums, out=sums)
-                    sums -= self.log_n
-                    sums *= w * beta
-                    total = total + sums
-        return np.broadcast_to(total, [len(c) for c in choices]).reshape(-1)
+            v = {z: pick(self.lefts, z)}
+            above = range(z + 1, segs[-1] + 1)
+            for s, run in zip(above, itertools.accumulate(pick(self.steps, s - 1) for s in above)):
+                v[s] = v[z] + run
+            below = range(z - 1, segs[0] - 1, -1)
+            for s, run in zip(below, itertools.accumulate(pick(self.steps, s) for s in below)):
+                v[s] = v[z] - run
+            return [v[s] for s in segs]
+
+        keys = {name: tuple(tuple(c.tolist() if isinstance(c, np.ndarray) else c) for c in choices[digits])
+                for name, _, digits in self.sides}
+        values: dict = {}
+        if self._scratch[0].shape != shape:
+            self._scratch = (np.empty(shape), np.empty(shape))
+        top, low = self._scratch
+        # a fresh array of the product's shape, the leaves are added into it
+        total = np.reshape(total, shape)
+        for agent, entropic in enumerate((self.entropic1, self.entropic2)):
+            for leaf, (w, beta, log_sums) in enumerate(entropic):
+                tables = []
+                for name, segs, digits in self.sides:
+                    key, table = self._tables.get((agent, leaf, name), (None, None))
+                    if key != keys[name]:
+                        if name not in values:
+                            values[name] = knot_values(segs)
+                        v = values[name]
+                        if agent:
+                            v = [self.left[s] - vs for s, vs in zip(segs, v)]
+                        side_shape = tuple(k if s in range(n_seg)[digits] else 1 for s, k in enumerate(shape))
+                        table = _log_sum_exp([pick(log_sums, s) - vs / beta for s, vs in zip(segs, v)], side_shape)
+                        self._tables[agent, leaf, name] = (keys[name], table)
+                    tables.append(table)
+                # the leaf's log-sum, combined in the full-size buffers; the
+                # cached tables are only read
+                if len(tables) == 2:
+                    np.maximum(*tables, out=top)
+                    np.minimum(*tables, out=low)
+                    low -= top
+                    np.exp(low, out=low)
+                    np.log1p(low, out=low)
+                    top += low
+                    top -= self.log_n
+                else:
+                    np.subtract(tables[0], self.log_n, out=top)
+                top *= w * beta
+                total += top
+        return total.reshape(-1)
 
 
 def oracle_objective(
@@ -295,16 +357,18 @@ def brute_force_infconv(
     levels: int = 5,
     knots: np.ndarray | None = None,
 ) -> OracleResult:
-    """Enumerate slope vectors on a level grid and keep the best candidate.
+    """Best slope vector on a level grid: the candidate that enumerating
+    every vector would keep.
 
     Each segment slope ranges over {0, 1/levels, ..., 1}, i.e. levels+1 grid
     values; the candidate count (levels+1)**segments must stay within
-    10,000,000, else BudgetError.  Candidates are visited in lexicographic
-    slope order and exact ties keep the last (lexicographically largest)
-    vector, so a segment that neither measure weighs stays with the first
-    agent.  Pass explicit
-    ``knots`` to pin the candidate family, e.g. to compare two samples over
-    the same family.
+    10,000,000, else BudgetError, and ``evaluations`` reports it.  The
+    result is the lowest value over all candidates, and exact ties keep the
+    lexicographically largest vector, so a segment that neither measure
+    weighs stays with the first agent.  Pairs without entropic leaves are
+    solved segment by segment, others by scoring every candidate.  Pass
+    explicit ``knots`` to pin the candidate family, e.g. to compare two
+    samples over the same family.
     """
     if levels < 1:
         raise ValueError("need at least one slope step")
@@ -324,27 +388,67 @@ def brute_force_infconv(
 
     grid = np.linspace(0.0, 1.0, levels + 1)
     score = _Scorer(spec1, spec2, m, knots, grid)
-    # one block per call: every combination of the fewest trailing segments
-    # that make _CHUNK candidates, under each leading prefix in turn
-    tail = next((t for t in range(1, n_seg) if grid.size**t >= _CHUNK), n_seg)
-    digits = np.arange(grid.size)
-    best_value = np.inf
-    best_digits: tuple | None = None
-    for head in itertools.product(range(grid.size), repeat=n_seg - tail):
-        values = score([[d] for d in head] + [digits] * tail)
-        k = values.size - 1 - int(np.argmin(values[::-1]))
-        if values[k] <= best_value:
-            best_value = float(values[k])
-            best_digits = head + np.unravel_index(k, (grid.size,) * tail)
-    assert best_digits is not None
-
+    if score.entropic1 or score.entropic2:
+        best = _last_minimum_by_blocks(score)
+    else:
+        best = _last_minimum_by_segments(score)
     return OracleResult(
-        value=best_value,
-        slopes=grid[list(best_digits)],
+        value=float(score([[d] for d in best])[0]),
+        slopes=grid[best],
         knots=knots,
         evaluations=total,
         levels=levels,
     )
+
+
+def _last_minimum_by_blocks(score: _Scorer) -> list:
+    """Digits of the lexicographically last candidate with the smallest value,
+    scored block by block: every combination of the fewest trailing segments
+    that make _CHUNK candidates, under each leading prefix in turn.
+    """
+    n_seg, size = score.gains.shape
+    tail = next((t for t in range(1, n_seg) if size**t >= _CHUNK), n_seg)
+    digits = np.arange(size)
+    best_value = np.inf
+    best: list = []
+    for head in itertools.product(range(size), repeat=n_seg - tail):
+        values = score([[d] for d in head] + [digits] * tail)
+        # the last minimum of the block is its largest minimizing candidate,
+        # and later prefixes are larger, so ties go to the later block
+        k = values.size - 1 - int(np.argmin(values[::-1]))
+        if values[k] <= best_value:
+            best_value = values[k]
+            best = list(head) + [int(d) for d in np.unravel_index(k, (size,) * tail)]
+    return best
+
+
+def _last_minimum_by_segments(score: _Scorer) -> list:
+    """Digits of the lexicographically last candidate with the smallest value,
+    for a scorer without entropic leaves, without enumerating candidates.
+
+    A value is offset + (gains[0, d0] + ... + gains[n-1, d(n-1)]), the sum
+    taken left to right, and rounded addition is monotone: the per-segment
+    minima reach the smallest rounded value, and the smallest value
+    reachable after fixing digits 0..s is the one completed by the later
+    minima.  So the last minimizer takes, segment by segment, the largest
+    digit whose completion still reaches the smallest value.
+    """
+    lows = score.gains.min(axis=1)
+
+    def completed(partial, s: int):
+        for low in lows[s + 1 :]:
+            partial = partial + low
+        return score.offset + partial
+
+    best_value = completed(lows[0], 0)
+    best: list = []
+    partial = None
+    for s, gains in enumerate(score.gains):
+        trial = gains if partial is None else partial + gains
+        d = int(np.flatnonzero(completed(trial, s) == best_value)[-1])
+        best.append(d)
+        partial = trial[d]
+    return best
 
 
 def coordinate_descent_refine(

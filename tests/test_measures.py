@@ -1,7 +1,10 @@
 """Empirical risk measure evaluation, gradients, and the textual grammar."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from infconv import (
     Combination,
@@ -22,7 +25,7 @@ from infconv import (
     parse_risk_spec,
     render_risk_spec,
 )
-from infconv.measures import _compile, _order_weights
+from infconv.measures import _compile, _order_weights, sorted_risk
 
 
 def random_spec(rng, depth=0, parseable=False):
@@ -94,6 +97,47 @@ def test_entropic_exponents_that_overflow_count_as_zero(beta, xs, expected):
     m = empirical(np.array(xs))
     assert evaluate(Entropic(beta), m) == expected
     assert eval_entropic(m, beta) == expected
+
+
+def entropic_reference(xs, beta):
+    """beta * log mean(exp(-x/beta)) at 60 digits, shifted by min(x) and taken
+    through log1p and expm1, so that neither a mean next to 0 nor one next to
+    1 loses digits."""
+    with mpmath.workdps(60):
+        b, low = mpmath.mpf(beta), mpmath.mpf(float(min(xs)))
+        mean = mpmath.fsum(mpmath.expm1((low - mpmath.mpf(float(x))) / b) for x in xs) / len(xs)
+        return float(b * mpmath.log1p(mean) - low)
+
+
+@pytest.mark.parametrize("beta", [2.0, 1e6, 1e10, 1e14, 1e16, 1e300])
+def test_entropic_keeps_its_digits_when_beta_dwarfs_the_range(beta):
+    # log(mean(exp(-x/beta))) cancelled: 4.6e-9 off at beta = 1e6, 10% at
+    # 1e14, and from 1e16 on it gave -min(x), the beta -> 0 limit
+    m = empirical(np.random.default_rng(0).uniform(-1.0, 1.0, 200))
+    want = entropic_reference(m.samples, beta)
+    for got in (evaluate(Entropic(beta), m), eval_entropic(m, beta), eval_with_grad(Entropic(beta), m)[0]):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=50),
+    st.floats(1.0, 4.0),
+    st.floats(0.01, 0.5),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.0, 300.0),
+)
+@example([-1.0, 1.0], 1.0, 0.5, 1.0, 16.0)  # the log form gave -min(x) here
+@example([1.0, 0.25], 1.0, 0.01, 1.0, 0.0)  # x / beta near 134, so the reference shifts too
+def test_entropic_matches_a_60_digit_reference_for_any_large_beta(u, center, spread, sign, decades):
+    # samples in sign * center * [1 - spread, 1 + spread] keep the value away
+    # from 0, where any float result has unbounded relative error
+    xs = np.sort(sign * center * (1.0 + spread * np.array(u)))
+    assume(xs[-1] > xs[0])
+    beta = (xs[-1] - xs[0]) * 10.0**decades
+    want = entropic_reference(xs, beta)
+    value, _ = sorted_risk(Entropic(beta), xs, grad=True)
+    assert sorted_risk(Entropic(beta), xs) == value
+    assert abs(value - want) <= 1e-12 * abs(want)
 
 
 def test_var_picks_order_statistic():

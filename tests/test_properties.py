@@ -10,6 +10,8 @@ configs set a random subset of the training keys under either profile.
 
 import itertools
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,8 +57,9 @@ from infconv import (
     value_and_grad,
 )
 from infconv.cli import parse_experiment, render_experiment
-from infconv.measures import _order_weights, leaves, sorted_risk
-from infconv.oracle import GridAllocation, brute_force_infconv, build_knots, oracle_objective
+from infconv import oracle
+from infconv.measures import _compile, _order_weights, leaves, sorted_risk
+from infconv.oracle import GridAllocation, _Scorer, brute_force_infconv, build_knots, oracle_objective
 
 MAX_DEPTH = 4
 
@@ -84,9 +87,10 @@ def spectral_densities(draw):
 
 
 @st.composite
-def specs(draw, spectral=True, depth=1, betas=tolerances, kind=None):
-    """A random spec; ``kind`` fixes the top level's kind."""
-    kinds = ["entropic", "es", "distortion"] + (["spectral"] if spectral else [])
+def specs(draw, spectral=True, depth=1, betas=tolerances, kind=None, entropic=True):
+    """A random spec; ``kind`` fixes the top level's kind, and
+    ``entropic=False`` leaves out entropic leaves at every depth."""
+    kinds = (["entropic"] if entropic else []) + ["es", "distortion"] + (["spectral"] if spectral else [])
     if depth < MAX_DEPTH:
         kinds.append("mix")
     kind = kind or draw(st.sampled_from(kinds))
@@ -100,7 +104,7 @@ def specs(draw, spectral=True, depth=1, betas=tolerances, kind=None):
     if kind == "spectral":
         return draw(spectral_densities())
     ws = _normalized(draw(st.lists(raw_weights, min_size=1, max_size=3)))
-    return Combination(tuple((w, draw(specs(spectral, depth + 1, betas))) for w in ws))
+    return Combination(tuple((w, draw(specs(spectral, depth + 1, betas, entropic=entropic))) for w in ws))
 
 
 samples = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40).map(np.array)
@@ -205,6 +209,82 @@ def test_brute_force_matches_naive_enumeration_of_sorted_risk(spec1, spec2, xs, 
     assert _close(got.value, best, 1e-12)
     if len(order) > 1 and naive[order[1]] - best > 1e-12 * max(1.0, abs(best)):
         assert np.array_equal(got.slopes, combos[order[0]])
+
+
+@st.composite
+def oracle_samples(draw):
+    """1-59 samples, two-sided, all positive or all negative, and rounded to
+    a random number of decimals in half the cases, so that candidates tie."""
+    side = draw(st.sampled_from([(-5.0, 5.0), (0.01, 5.0), (-5.0, -0.01)]))
+    xs = np.array(draw(st.lists(st.floats(*side), min_size=1, max_size=59)))
+    if draw(st.booleans()):
+        xs = np.round(xs, draw(st.integers(0, 2)))
+        assume(np.all(xs != 0.0) or side == (-5.0, 5.0))
+    return xs
+
+
+@st.composite
+def oracle_knots(draw, m):
+    """Quantile knots of 1-5 segments, or 0 and 1-4 explicit knots in
+    [-3, 3], which may put 0 first, last or inside and leave segments empty."""
+    if draw(st.booleans()):
+        # at most 5 quantile knots, and 0
+        knots = build_knots(m, draw(st.integers(1, 4)))
+    else:
+        knots = np.unique(np.array([0.0, *draw(st.lists(st.floats(-3.0, 3.0).filter(bool), min_size=1, max_size=4))]))
+    assume(knots.size >= 2)
+    return knots
+
+
+def _last_minimum_of_product(spec1, spec2, m, knots, levels):
+    """Value and digits of the lexicographically last minimum, every candidate
+    scored in one call."""
+    grid = np.linspace(0.0, 1.0, levels + 1)
+    n_seg = knots.size - 1
+    values = _Scorer(spec1, spec2, m, knots, grid)([np.arange(grid.size)] * n_seg)
+    k = values.size - 1 - int(np.argmin(values[::-1]))
+    return values[k], grid[list(np.unravel_index(k, (grid.size,) * n_seg))]
+
+
+@given(data=st.data())
+def test_linear_pairs_solved_segment_by_segment_equal_enumeration(data):
+    spec1, spec2 = (data.draw(specs(entropic=False)) for _ in range(2))
+    m = empirical(data.draw(oracle_samples()))
+    knots = data.draw(oracle_knots(m))
+    levels = data.draw(st.integers(1, 4))
+    value, slopes = _last_minimum_of_product(spec1, spec2, m, knots, levels)
+    got = brute_force_infconv(spec1, spec2, m, levels=levels, knots=knots)
+    assert got.value.hex() == value.hex()
+    assert got.slopes.tobytes() == slopes.tobytes()
+    assert got.evaluations == (levels + 1) ** (knots.size - 1)
+
+
+@given(data=st.data())
+def test_entropic_pairs_scored_by_sides_keep_the_scorers_guarantees(data):
+    spec1 = data.draw(specs(betas=small_betas, kind=data.draw(st.sampled_from(["entropic", "mix"]))))
+    spec2 = data.draw(specs(betas=small_betas))
+    assume(_compile(spec1, 1)[1] or _compile(spec2, 1)[1])
+    if data.draw(st.booleans()):
+        spec1, spec2 = spec2, spec1
+    m = empirical(data.draw(oracle_samples()))
+    knots = data.draw(oracle_knots(m))
+    levels = data.draw(st.integers(1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, slopes = _last_minimum_of_product(spec1, spec2, m, knots, levels)
+        # blocks of a few candidates each, so each side's cached table is
+        # reused across blocks, and refreshed when its digits change
+        with mock.patch.object(oracle, "_CHUNK", data.draw(st.integers(1, 30))):
+            got = brute_force_infconv(spec1, spec2, m, levels=levels, knots=knots)
+        replay = oracle_objective(spec1, spec2, m, knots, got.slopes)
+    assert got.value.hex() == value.hex()
+    assert got.slopes.tobytes() == slopes.tobytes()
+    assert replay.hex() == got.value.hex()
+    candidate = GridAllocation(knots=knots, slopes=got.slopes)
+    want = sorted_risk(spec1, np.sort(candidate(m.samples))) + sorted_risk(
+        spec2, np.sort(candidate.complement(m.samples))
+    )
+    assert _close(got.value, want, 1e-12)
 
 
 @st.composite
