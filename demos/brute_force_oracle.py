@@ -18,8 +18,7 @@ from infconv import (
     coordinate_descent_refine,
     draw,
     empirical,
-    eval_entropic,
-    eval_es,
+    evaluate,
 )
 
 xs = draw(Uniform(-1.0, 1.0), 200, RngSeed(0, 0))
@@ -34,7 +33,7 @@ es_best = brute_force_infconv(ExpectedShortfall(0.8), ExpectedShortfall(0.7), m,
 print(f"es pair: {es_best.evaluations} candidates evaluated")
 print(f"  argmin slopes {es_best.slopes}")
 print(f"  minimum {es_best.value:.6f} = risk of keeping everything "
-      f"{eval_es(m, 0.8):.6f}")
+      f"{evaluate(ExpectedShortfall(0.8), m):.6f}")
 
 # ---------------------------------------------------------------------------
 # Two entropic agents: the known optimum is the proportional split with
@@ -46,7 +45,7 @@ with np.printoptions(precision=2):
     print(f"\nentropic pair: argmin slopes {ent_best.slopes} "
           f"(mean {ent_best.slopes.mean():.3f}, proportional share 0.4)")
 print(f"  grid minimum        {ent_best.value:.6f}")
-print(f"  unrestricted bound  {eval_entropic(m, 5.0):.6f}  (pooled optimum on this sample)")
+print(f"  unrestricted bound  {evaluate(Entropic(5.0), m):.6f}  (pooled optimum on this sample)")
 
 # ---------------------------------------------------------------------------
 # Coordinate descent: start from a rough guess, never increase the

@@ -16,7 +16,7 @@ from infconv import (
     analytic_infconv,
     draw,
     empirical,
-    eval_entropic,
+    evaluate,
     pair_loss,
     train_ensemble,
 )
@@ -48,7 +48,7 @@ for epoch in range(0, cfg.epochs, 4):
 
 # pooled entropic agents behave like one entropic agent with summed
 # parameters, which gives the exact optimum on any sample
-in_sample = eval_entropic(empirical(xs), 5.0)
+in_sample = evaluate(Entropic(5.0), empirical(xs))
 target = analytic_infconv(rho1, rho2, dist)
 final = pair_loss(rho1, rho2, xs, result.allocation.first(xs))
 print(f"\nfinal training loss  {final:.6f}")

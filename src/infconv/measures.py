@@ -35,11 +35,7 @@ __all__ = [
     "EmpiricalMeasure",
     "empirical",
     "es_spectral_density",
-    "eval_entropic",
     "eval_var",
-    "eval_es",
-    "eval_distortion",
-    "eval_spectral",
     "evaluate",
     "eval_with_grad",
     "leaves",
@@ -120,9 +116,11 @@ class Spectral:
     """Risk measure defined by a non-increasing density on the unit interval.
 
     The density is a grid function: ``grid`` spans [0, 1] with at least two
-    strictly increasing points, ``values`` are the non-negative densities at
-    those points, linearly interpolated in between.  The trapezoid integral
-    must equal one within 1e-9.
+    increasing points, ``values`` are the non-negative densities at those
+    points, linearly interpolated in between.  A grid point may appear twice
+    in a row, holding the density just left and just right of a downward
+    jump; no point appears three times.  The trapezoid integral must equal
+    one within 1e-9.
     """
 
     grid: np.ndarray
@@ -140,14 +138,18 @@ class Spectral:
             raise ValueError("spectral density must be finite")
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise ValueError("spectral density grid must span [0, 1]")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("spectral density grid must be strictly increasing")
+        steps = np.diff(grid)
+        if np.any(steps < 0.0) or np.any((steps[1:] == 0.0) & (steps[:-1] == 0.0)):
+            raise ValueError("spectral density grid must increase, each point at most twice")
         if np.any(values < 0.0):
             raise ValueError("spectral density must be non-negative")
         if np.any(np.diff(values) > 0.0):
             raise ValueError("spectral density must be non-increasing")
-        total = float((0.5 * (values[1:] + values[:-1]) * np.diff(grid)).sum())
-        if abs(total - 1.0) > _DENSITY_TOL:
+        # densities above half the largest float overflow to inf here (or to
+        # nan at a jump), which the check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float((0.5 * (values[1:] + values[:-1]) * steps).sum())
+        if not abs(total - 1.0) <= _DENSITY_TOL:
             raise ValueError(f"spectral density must integrate to 1, got {total!r}")
         grid.setflags(write=False)
         values.setflags(write=False)
@@ -187,19 +189,11 @@ def _nesting_depth(spec: RiskMeasure) -> int:
 
 
 def es_spectral_density(alpha: float) -> Spectral:
-    """Spectral density ``u -> (1/alpha) * 1{u <= alpha}`` as a grid function
-    on 201 uniform points plus the jump.
-
-    The downward jump at ``alpha`` is encoded by two grid points 1e-12 apart,
-    which keeps the trapezoid integral within 1e-9 of one and makes the
-    spectral evaluation agree with eval_es to the same precision.
-    """
+    """Spectral density ``u -> (1/alpha) * 1{u <= alpha}``, the step density
+    of expected shortfall at level ``alpha``, with its jump at ``alpha`` as a
+    repeated grid point.  It evaluates as ``ExpectedShortfall(alpha)`` does."""
     alpha = _check_level("alpha", alpha)
-    base = np.linspace(0.0, 1.0, 201)
-    jump_hi = min(alpha + 1e-12, 1.0)
-    grid = np.unique(np.concatenate([base, [alpha, jump_hi]]))
-    values = np.where(grid <= alpha, 1.0 / alpha, 0.0)
-    return Spectral(grid=grid, values=values)
+    return Spectral(grid=[0.0, alpha, alpha, 1.0], values=[1.0 / alpha, 1.0 / alpha, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,35 +274,10 @@ def _ceil_index(u: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def eval_entropic(m: EmpiricalMeasure, beta: float) -> float:
-    """beta * log mean(exp(-x/beta)), stabilized by a max shift."""
-    return evaluate(Entropic(beta), m)
-
 def eval_var(m: EmpiricalMeasure, u: float) -> float:
     """Left-continuous empirical value-at-risk -x_(ceil(N*u)) at level u."""
     u = _check_level("u", u)
     return float(-m.samples[_ceil_index(u, m.size) - 1])
-
-
-def eval_es(m: EmpiricalMeasure, alpha: float) -> float:
-    """Expected shortfall: mean of the worst alpha-fraction of the sample.
-
-    The empirical tail average weighs the ceil(alpha*N)-th order statistic by
-    the fractional part of alpha*N, so the value is continuous in alpha.
-    """
-    return evaluate(ExpectedShortfall(alpha), m)
-
-
-def eval_distortion(m: EmpiricalMeasure, components: tuple[tuple[float, float], ...]) -> float:
-    """Weighted sum of expected shortfalls."""
-    return float(sum(w * eval_es(m, a) for w, a in components))
-
-
-def eval_spectral(m: EmpiricalMeasure, density: Spectral) -> float:
-    """Integral of the empirical value-at-risk against the density."""
-    if not isinstance(density, Spectral):
-        raise ValueError("density must be a Spectral spec")
-    return evaluate(density, m)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +310,9 @@ def _density_pieces(leaf: Leaf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         height = np.array([1.0 / alpha, 0.0])
         return np.array([0.0, alpha, 1.0]), height, height
     if isinstance(leaf, Spectral):
-        return leaf.grid, leaf.values[:-1], leaf.values[1:]
+        # a repeated grid point is a jump: its zero-width piece is dropped
+        keep = np.diff(leaf.grid) > 0.0
+        return np.unique(leaf.grid), leaf.values[:-1][keep], leaf.values[1:][keep]
     raise ValueError(f"no rank-weighting density: the spec has a leaf of type {type(leaf).__name__}")
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "init_mlp",
     "forward",
     "value_and_grad",
-    "param_count",
     "mlp_to_json",
     "mlp_from_json",
 ]
@@ -437,10 +436,6 @@ def value_and_grad(
         return stack.pullback((upstream,)).copy()
 
     return values, pullback
-
-
-def param_count(mlp: Mlp) -> int:
-    return int(mlp.params.size)
 
 
 def mlp_to_json(mlp: Mlp) -> str:

@@ -50,6 +50,8 @@ __all__ = [
 
 _BUDGET = 10_000_000
 _CHUNK = 4096
+# Full passes coordinate_descent_refine may make before it stops unconverged.
+_SWEEPS = 50
 
 
 class BudgetError(RuntimeError):
@@ -457,19 +459,16 @@ def coordinate_descent_refine(
     m: EmpiricalMeasure,
     start: GridAllocation,
     levels: int = 8,
-    sweeps: int = 50,
 ) -> OracleResult:
     """Cyclic single-coordinate minimization over the discrete slope levels.
 
     Each move re-optimizes one segment slope over {0, 1/levels, ..., 1} with
     the others held fixed, accepting only strict improvements (ties keep the
-    incumbent, so a grid-search argmin is a fixed point).  Stops early once a
-    full sweep changes nothing.
+    incumbent, so a grid-search argmin is a fixed point).  Stops after 50
+    sweeps, or earlier once a full sweep changes nothing.
     """
     if levels < 1:
         raise ValueError("need at least one slope step")
-    if sweeps < 1:
-        raise ValueError("need at least one sweep")
     knots = start.knots
     if knots.size < 2:
         raise ValueError("need at least two distinct knots")
@@ -481,7 +480,7 @@ def coordinate_descent_refine(
 
     current = float(score([[d] for d in digits])[0])
     evaluations = 1
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         changed = False
         for j in range(len(digits)):
             trials = [[d] for d in digits]

@@ -224,17 +224,25 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float) -> float:
         raise ValueError("order p must satisfy p >= 1")
     if a.size == b.size:
         gaps = np.abs(a.samples - b.samples)
-        return float(np.mean(gaps**p) ** (1.0 / p))
-    edges = np.unique(
-        np.concatenate(
-            [np.arange(1, a.size) / a.size, np.arange(1, b.size) / b.size, [0.0, 1.0]]
+        mass = None
+    else:
+        edges = np.unique(
+            np.concatenate(
+                [np.arange(1, a.size) / a.size, np.arange(1, b.size) / b.size, [0.0, 1.0]]
+            )
         )
-    )
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    ia = np.clip(np.ceil(a.size * mid).astype(np.int64) - 1, 0, a.size - 1)
-    ib = np.clip(np.ceil(b.size * mid).astype(np.int64) - 1, 0, b.size - 1)
-    gaps = np.abs(a.samples[ia] - b.samples[ib])
-    return float((gaps**p @ np.diff(edges)) ** (1.0 / p))
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        ia = np.clip(np.ceil(a.size * mid).astype(np.int64) - 1, 0, a.size - 1)
+        ib = np.clip(np.ceil(b.size * mid).astype(np.int64) - 1, 0, b.size - 1)
+        gaps = np.abs(a.samples[ia] - b.samples[ib])
+        mass = np.diff(edges)
+    # powers of the gaps relative to the largest one, so that gaps past
+    # 1e154 do not overflow at p = 2 before the root brings them back
+    top = float(gaps.max())
+    if top == 0.0:
+        return 0.0
+    powers = (gaps / top) ** p
+    return top * float((powers.mean() if mass is None else powers @ mass) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ __all__ = [
     "train_member",
     "train_ensemble",
     "pair_loss",
-    "allocation_loss",
     "metric_d",
     "metric_d_mu",
     "l2_error",
@@ -444,37 +443,29 @@ def _first_map(allocation):
     return allocation.first if hasattr(allocation, "first") else allocation
 
 
-def allocation_loss(spec1: RiskMeasure, spec2: RiskMeasure, xs: np.ndarray, allocation) -> float:
-    """Pooled risk of an allocation's feasible pair on a sample."""
-    xs = np.asarray(xs, dtype=np.float64)
-    return pair_loss(spec1, spec2, xs, np.asarray(_first_map(allocation)(xs), dtype=np.float64))
-
-
-def metric_d(f, g, terms: int = _METRIC_TERMS) -> float:
+def metric_d(f, g) -> float:
     """Bounded metric on allocation maps: geometrically weighted window sups.
 
     Term h weighs min(1, sup over [-h, h] of |f - g|) by 2**-h and the series
-    is truncated after ``terms`` windows, cutting off a tail of at most
-    2**-terms.  Sups are approximated on a uniform grid.
+    is truncated after 12 windows, cutting off a tail of at most 2**-12.
+    Sups are approximated on a uniform grid.
     """
-    grid = np.linspace(-terms, terms, 2 * terms * _METRIC_POINTS_PER_UNIT + 1)
-    return metric_d_mu(f, g, grid, terms)
+    grid = np.linspace(-_METRIC_TERMS, _METRIC_TERMS, 2 * _METRIC_TERMS * _METRIC_POINTS_PER_UNIT + 1)
+    return metric_d_mu(f, g, grid)
 
 
-def metric_d_mu(f, g, m: EmpiricalMeasure, terms: int = _METRIC_TERMS) -> float:
+def metric_d_mu(f, g, m: EmpiricalMeasure) -> float:
     """Sample-supported variant of metric_d: window sups over sample points.
 
     Windows containing no sample contribute zero, so this never exceeds
     metric_d on the same maps (up to grid resolution).
     """
-    if terms < 1:
-        raise ValueError("need at least one window term")
     f = _first_map(f)
     g = _first_map(g)
     xs = m.samples if isinstance(m, EmpiricalMeasure) else np.asarray(m, dtype=np.float64)
     diff = np.abs(np.asarray(f(xs), dtype=np.float64) - np.asarray(g(xs), dtype=np.float64))
     total = 0.0
-    for h in range(1, terms + 1):
+    for h in range(1, _METRIC_TERMS + 1):
         inside = diff[np.abs(xs) <= h]
         if inside.size:
             total += 0.5**h * min(1.0, float(inside.max()))

@@ -18,7 +18,6 @@ from infconv import (
     analytic_infconv,
     draw,
     empirical,
-    eval_es,
     evaluate,
     fit_tail_cut,
     metric_d_mu,
@@ -346,8 +345,8 @@ def test_criterion_8_axiom_suite(criterion):
 
         alpha = float(rng.uniform(0.05, 0.95))
         lam = float(rng.uniform(0.1, 10.0))
-        one = eval_es(empirical(lam * xs), alpha)
-        other = lam * eval_es(empirical(xs), alpha)
+        one = evaluate(ExpectedShortfall(alpha), empirical(lam * xs))
+        other = lam * evaluate(ExpectedShortfall(alpha), empirical(xs))
         if abs(one - other) > 1e-12 * max(1.0, abs(other)):
             failures["es_homogeneity"] += 1
 

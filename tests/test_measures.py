@@ -13,12 +13,9 @@ from infconv import (
     Entropic,
     ExpectedShortfall,
     Spectral,
+    distortion_density_norm,
     empirical,
     es_spectral_density,
-    eval_distortion,
-    eval_entropic,
-    eval_es,
-    eval_spectral,
     eval_var,
     eval_with_grad,
     evaluate,
@@ -26,6 +23,7 @@ from infconv import (
     render_risk_spec,
 )
 from infconv.measures import _compile, _order_weights, sorted_risk
+from references import es_reference, spectral_reference
 
 
 def random_spec(rng, depth=0, parseable=False):
@@ -69,7 +67,7 @@ def spaced_sample(rng, n, gap=1e-3):
 
 def test_entropic_two_point_closed_form():
     m = empirical(np.array([-1.0, 1.0]))
-    assert abs(eval_entropic(m, 1.0) - np.log(np.cosh(1.0))) < 1e-12
+    assert abs(evaluate(Entropic(1.0), m) - np.log(np.cosh(1.0))) < 1e-12
 
 
 def test_entropic_matches_direct_formula():
@@ -78,13 +76,13 @@ def test_entropic_matches_direct_formula():
         xs = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 60)))
         beta = float(rng.uniform(0.5, 5.0))
         direct = beta * np.log(np.mean(np.exp(-xs / beta)))
-        assert abs(eval_entropic(empirical(xs), beta) - direct) < 1e-12
+        assert abs(evaluate(Entropic(beta), empirical(xs)) - direct) < 1e-12
 
 
 def test_entropic_overflow_guarded():
     # a raw exp() would overflow long before exp(1e7)
     xs = np.array([-1e6, 0.0, 1.0, 2.0])
-    v = eval_entropic(empirical(xs), 0.1)
+    v = evaluate(Entropic(0.1), empirical(xs))
     expected = 1e6 + 0.1 * np.log(1.0 / 4.0)
     assert np.isfinite(v)
     assert abs(v - expected) < 1e-6
@@ -96,7 +94,6 @@ def test_entropic_exponents_that_overflow_count_as_zero(beta, xs, expected):
     # the value is -min(xs) + beta * log(1/2), which rounds to -min(xs)
     m = empirical(np.array(xs))
     assert evaluate(Entropic(beta), m) == expected
-    assert eval_entropic(m, beta) == expected
 
 
 def entropic_reference(xs, beta):
@@ -115,7 +112,7 @@ def test_entropic_keeps_its_digits_when_beta_dwarfs_the_range(beta):
     # 1e14, and from 1e16 on it gave -min(x), the beta -> 0 limit
     m = empirical(np.random.default_rng(0).uniform(-1.0, 1.0, 200))
     want = entropic_reference(m.samples, beta)
-    for got in (evaluate(Entropic(beta), m), eval_entropic(m, beta), eval_with_grad(Entropic(beta), m)[0]):
+    for got in (evaluate(Entropic(beta), m), eval_with_grad(Entropic(beta), m)[0]):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -157,14 +154,14 @@ def test_var_picks_order_statistic():
 def test_es_integer_tail():
     m = empirical(np.array([1.0, -1.0, 0.0]))
     # worst two of three: mean of {-1, 0} negated
-    assert abs(eval_es(m, 2.0 / 3.0) - 0.5) < 1e-12
+    assert abs(evaluate(ExpectedShortfall(2.0 / 3.0), m) - 0.5) < 1e-12
 
 
 def test_es_fractional_tail():
     m = empirical(np.array([0.4, -1.0, 0.2, -0.3]))
     # t = 0.625 * 4 = 2.5 -> two full samples plus half of the third
     expected = -(-1.0 + -0.3 + 0.5 * 0.2) / 2.5
-    assert abs(eval_es(m, 0.625) - expected) < 1e-12
+    assert abs(evaluate(ExpectedShortfall(0.625), m) - expected) < 1e-12
 
 
 def test_es_equals_tail_weight_dot():
@@ -178,7 +175,7 @@ def test_es_equals_tail_weight_dot():
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0.0)
         direct = -float(np.sort(xs) @ w)
-        assert abs(eval_es(empirical(xs), alpha) - direct) < 1e-12
+        assert abs(evaluate(ExpectedShortfall(alpha), empirical(xs)) - direct) < 1e-12
 
 
 def test_es_at_a_level_of_k_over_n_weighs_exactly_k_ranks():
@@ -197,8 +194,8 @@ def test_distortion_is_weighted_es():
         w = rng.uniform(0.1, 1.0, size=k)
         w = w / w.sum()
         comps = tuple((float(wi), float(rng.uniform(0.05, 0.95))) for wi in w)
-        direct = sum(wi * eval_es(m, a) for wi, a in comps)
-        assert abs(eval_distortion(m, comps) - direct) < 1e-12
+        direct = sum(wi * es_reference(xs, a) for wi, a in comps)
+        assert abs(evaluate(Distortion(comps), m) - direct) < 1e-12
 
 
 def test_spectral_step_density_matches_es():
@@ -208,17 +205,54 @@ def test_spectral_step_density_matches_es():
         alpha = float(rng.uniform(0.1, 0.9))
         sp = es_spectral_density(alpha)
         m = empirical(xs)
-        assert abs(eval_spectral(m, sp) - eval_es(m, alpha)) < 1e-9
+        assert evaluate(sp, m) == evaluate(ExpectedShortfall(alpha), m)
+        assert abs(evaluate(sp, m) - es_reference(xs, alpha)) < 1e-12
+
+
+def test_spectral_density_with_two_jumps_is_the_two_level_distortion():
+    # 0.5 * es(0.2) + 0.5 * es(0.6) as a density with a jump at each level
+    sp = Spectral([0.0, 0.2, 0.2, 0.6, 0.6, 1.0], [10 / 3, 10 / 3, 5 / 6, 5 / 6, 0.0, 0.0])
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 5, 13, 40):
+        xs = rng.normal(size=n)
+        m = empirical(xs)
+        assert abs(evaluate(sp, m) - spectral_reference(xs, sp)) < 1e-12
+        assert abs(evaluate(sp, m) - evaluate(Distortion(((0.5, 0.2), (0.5, 0.6))), m)) < 1e-12
+
+
+def test_es_spectral_density_is_es_at_every_level_or_refused():
+    # the jump used to be a 1e-12-wide ramp, whose extra 0.5e-12/alpha of
+    # mass failed the integral check below alpha = 5e-4; below the smallest
+    # normal float ExpectedShortfall clamps its level, so only the
+    # evaluations are compared there, and where 1/alpha or the trapezoid
+    # overflows the level is refused (any warning fails the test)
+    tiny = np.finfo(np.float64).tiny
+    alphas = [*np.geomspace(5e-324, 0.5, 400), 5e-4, 4e-4, 1e-6, 5.6e-309, 8e-309, 1.1e-308,
+              tiny, np.nextafter(1.0, 0.0)]
+    refused = 0
+    for alpha in map(float, alphas):
+        try:
+            sp = es_spectral_density(alpha)
+        except ValueError:
+            refused += 1
+            assert alpha < tiny
+            continue
+        es = ExpectedShortfall(alpha)
+        for n in (1, 7, 1000):
+            xs = np.random.default_rng(n).normal(size=n)
+            assert evaluate(sp, empirical(xs)) == evaluate(es, empirical(xs))
+        if alpha >= tiny:
+            for q in (1.0, 2.0, np.inf):
+                assert distortion_density_norm(sp, q) == distortion_density_norm(es, q)
+    assert 0 < refused < len(alphas)
 
 
 def test_es_and_spectral_evaluations_read_the_compile_cache():
     m = empirical(np.random.default_rng(17).normal(size=1001))
-    density = es_spectral_density(0.3)
-    for leaf, call in ((ExpectedShortfall(0.3), lambda: eval_es(m, 0.3)),
-                       (density, lambda: eval_spectral(m, density))):
-        first = call()
+    for leaf in (ExpectedShortfall(0.3), es_spectral_density(0.3)):
+        first = evaluate(leaf, m)
         before = _compile.cache_info()
-        assert call() == first
+        assert evaluate(leaf, m) == first
         after = _compile.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         # the cached weights are the leaf's order weights, bit for bit
@@ -308,8 +342,8 @@ def test_es_positive_homogeneity():
         xs = rng.normal(size=int(rng.integers(2, 60)))
         lam = float(rng.uniform(0.1, 4.0))
         alpha = float(rng.uniform(0.05, 0.95))
-        lhs = eval_es(empirical(lam * xs), alpha)
-        rhs = lam * eval_es(empirical(xs), alpha)
+        lhs = evaluate(ExpectedShortfall(alpha), empirical(lam * xs))
+        rhs = lam * evaluate(ExpectedShortfall(alpha), empirical(xs))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
@@ -387,6 +421,10 @@ def test_constructor_validation():
         Spectral(np.array([0.0, 0.5]), np.array([2.0, 2.0]))  # grid must end at 1
     with pytest.raises(ValueError):
         Spectral(np.array([0.0, 1.0]), np.array([0.5, 1.5]))  # increasing density
+    with pytest.raises(ValueError, match="at most twice"):
+        Spectral(np.array([0.0, 0.5, 0.5, 0.5, 1.0]), np.array([2.0, 2.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="non-increasing"):
+        Spectral(np.array([0.0, 0.5, 0.5, 1.0]), np.array([1.0, 1.0, 3.0, 0.0]))  # upward jump
     with pytest.raises(ValueError):
         Combination(((1.0, "nope"),))
 

@@ -19,7 +19,6 @@ from infconv import (
     init_mlp,
     mlp_from_json,
     mlp_to_json,
-    param_count,
     value_and_grad,
 )
 
@@ -31,9 +30,9 @@ def make_net(widths, activation, seed=0, stream=1):
 def test_param_count():
     net = make_net((1, 100, 100, 100, 1), "relu")
     # 1*100+100 + 100*100+100 + 100*100+100 + 100*1+1
-    assert param_count(net) == 20501
-    assert param_count(make_net((1, 1), "linear")) == 2
-    assert param_count(make_net((1, 64, 64, 1), "tanh")) == 4353
+    assert net.params.size == 20501
+    assert make_net((1, 1), "linear").params.size == 2
+    assert make_net((1, 64, 64, 1), "tanh").params.size == 4353
 
 
 def test_init_ranges():

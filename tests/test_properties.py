@@ -1,9 +1,9 @@
 """Property tests over random nested risk specs and networks (hypothesis).
 
 Specs nest up to the depth cap of 4 and include spectral densities.  The
-reference for every evaluation is the per-family evaluators
-(``eval_entropic``, ``eval_es``, ``eval_spectral``) applied to a flattening
-written here, independent of the package's own walk over spec types.
+reference for every evaluation is the per-leaf formulas of ``references``
+applied to a flattening written here, independent of the package's own walk
+over spec types and of its risk kernel.
 Networks have random widths, activations and parameters.  Experiment
 configs set a random subset of the training keys under either profile.
 """
@@ -36,16 +36,12 @@ from infconv import (
     distortion_density_norm,
     empirical,
     es_spectral_density,
-    eval_entropic,
-    eval_es,
-    eval_spectral,
     eval_with_grad,
     evaluate,
     forward,
     init_mlp,
     mlp_from_json,
     mlp_to_json,
-    param_count,
     parse_distribution,
     parse_risk_spec,
     render_distribution,
@@ -60,6 +56,7 @@ from infconv.cli import parse_experiment, render_experiment
 from infconv import oracle
 from infconv.measures import _compile, _order_weights, leaves, sorted_risk
 from infconv.oracle import GridAllocation, _Scorer, brute_force_infconv, build_knots, oracle_objective
+from references import entropic_reference, es_reference, spectral_reference
 
 MAX_DEPTH = 4
 
@@ -130,12 +127,12 @@ def reference_leaves(spec, weight=1.0):
         yield weight, spec
 
 
-def leaf_value(m, leaf):
+def leaf_value(xs, leaf):
     if isinstance(leaf, Entropic):
-        return eval_entropic(m, leaf.beta)
+        return entropic_reference(xs, leaf.beta)
     if isinstance(leaf, ExpectedShortfall):
-        return eval_es(m, leaf.alpha)
-    return eval_spectral(m, leaf)
+        return es_reference(xs, leaf.alpha)
+    return spectral_reference(xs, leaf)
 
 
 def _close(a, b, tol):
@@ -144,9 +141,8 @@ def _close(a, b, tol):
 
 @given(specs(), samples)
 def test_evaluate_is_leaf_weighted_sum(spec, xs):
-    m = empirical(xs)
-    want = sum(w * leaf_value(m, leaf) for w, leaf in reference_leaves(spec))
-    assert _close(evaluate(spec, m), want, 1e-12)
+    want = sum(w * leaf_value(xs, leaf) for w, leaf in reference_leaves(spec))
+    assert _close(evaluate(spec, empirical(xs)), want, 1e-12)
 
 
 @given(specs(), spaced_samples())
@@ -431,12 +427,13 @@ def test_es_order_weights_match_the_tail_average(alpha, n):
 
 
 def exact_order_weights(density, n):
-    """The density's mass on each ((k-1)/n, k/n]: trapezoids are exact on the
-    grid refined by the k/n, as the density is linear between its points."""
+    """The density's mass on each ((k-1)/n, k/n]: midpoint rules are exact on
+    the grid refined by the k/n, as the density is linear between its points,
+    and they never read the density at a jump."""
     edges = np.union1d(density.grid, np.arange(1, n) / n)
-    h = np.interp(edges, density.grid, density.values)
-    mass = 0.5 * (h[1:] + h[:-1]) * np.diff(edges)
-    rank = np.clip(np.ceil(n * 0.5 * (edges[1:] + edges[:-1])).astype(np.int64) - 1, 0, n - 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    mass = np.interp(mid, density.grid, density.values) * np.diff(edges)
+    rank = np.clip(np.ceil(n * mid).astype(np.int64) - 1, 0, n - 1)
     return np.bincount(rank, weights=mass, minlength=n)
 
 
@@ -472,7 +469,7 @@ def test_pullback_is_flat_and_linear_in_upstream(net, xs, c, data):
     u1, u2 = data.draw(upstream), data.draw(upstream)
     _, pullback = value_and_grad(net, xs)
     g1, g2 = pullback(u1), pullback(u2)
-    assert g1.shape == (param_count(net),)
+    assert g1.shape == (net.params.size,)
     scale = max(1.0, np.abs(g1).max(), np.abs(g2).max())
     assert np.allclose(pullback(c * u1 + u2), c * g1 + g2, rtol=0.0, atol=1e-12 * scale)
 

@@ -202,6 +202,21 @@ def test_wasserstein_hand_values():
     assert abs(wasserstein_p(a, c, 1.0) - 0.5) < 1e-12
 
 
+def test_wasserstein_takes_powers_without_overflow():
+    # gaps near 1e160 used to overflow in gaps**p and give inf with a warning
+    a = empirical(np.array([0.0, 1e160]))
+    b = empirical(np.array([1e160, 3e160]))
+    c = empirical(np.array([1e160]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein_p(a, b, 2.0) == 1.5811388300841895e160
+        assert wasserstein_p(a, b, 1.0) == 1.5e160
+        # unequal sizes: the gap 1e160 on half the quantiles, 0 on the rest
+        assert abs(wasserstein_p(a, c, 2.0) - 1e160 / np.sqrt(2.0)) <= 1e-15 * 1e160
+        assert abs(wasserstein_p(a, c, 3.5) - 1e160 * 0.5 ** (1 / 3.5)) <= 1e-15 * 1e160
+        assert wasserstein_p(b, b, 2.0) == 0.0
+
+
 def test_wasserstein_properties():
     rng = np.random.default_rng(9)
     for _ in range(100):
