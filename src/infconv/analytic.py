@@ -9,11 +9,12 @@ brute-force solutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Entropic, ExpectedShortfall, RiskMeasure
+from .measures import _NARROW_ENTROPIC, Entropic, ExpectedShortfall, RiskMeasure
 from .sampling import Distribution, _density, quantile, support
 
 __all__ = [
@@ -33,6 +34,9 @@ __all__ = [
 _TANH_SINH_TMAX = 6
 _TANH_SINH_LEVELS = 11
 _QUAD_RTOL = 1e-12
+# (expm1(e) - e) / e**2 = sum of e**k / (k + 2)!, highest power first; below
+# |e| = _NARROW_ENTROPIC the terms after e**6 are under 1e-19 of the sum.
+_EXPM1_EXCESS = [1.0 / math.factorial(k + 2) for k in range(6, -1, -1)]
 
 
 def _quad(f, lo: float, hi: float) -> float:
@@ -64,10 +68,26 @@ def entropic_risk(dist: Distribution, beta: float) -> float:
     """beta * log E[exp(-X/beta)] by quadrature against the density.
 
     The integrand exp((lo - x)/beta) * pdf(x) stays below the density, so it
-    cannot overflow; raises ValueError where the quadrature fails.
+    cannot overflow; raises ValueError where the quadrature fails.  When the
+    support is narrow against beta that log cancels, so the value is taken
+    as -mean + beta * log1p(E[expm1(e) - e]), e = (mean - X)/beta: the log1p
+    carries only the spread, integrated from a series with no cancellation.
     """
     beta = Entropic(beta).beta
     lo, hi = support(dist)
+    if (hi - lo) / beta < _NARROW_ENTROPIC:
+        # the mean, as its distance above lo
+        above = _quad(lambda x, from_lo, from_hi: from_lo * _density(dist, x, from_lo, from_hi), lo, hi)
+
+        def spread(x, from_lo, from_hi):
+            e = (above - from_lo) / beta
+            density = _density(dist, x, from_lo, from_hi)
+            return (above - from_lo) * e * np.polyval(_EXPM1_EXCESS, e) * density
+
+        # beta * mean(expm1(e)): the mean itself underflows when beta is huge
+        excess = _quad(spread, lo, hi)
+        y = excess / beta
+        return -(lo + above) + excess * float(np.log1p(y) / y if y else 1.0)
     integral = _quad(
         lambda x, from_lo, from_hi: np.exp((lo - x) / beta) * _density(dist, x, from_lo, from_hi),
         lo, hi,

@@ -6,17 +6,18 @@ value_and_grad are pure functions of it, so two identical calls give
 bit-identical results.
 
 Activations are stored feature-major, as (width, rows) arrays, so the batch
-axis is the contiguous one.  Layers are narrow and batches long (widths of
-8 to 100 against 1000 rows), so every bias broadcast, every one-column
-product and every bias-gradient sum runs along a long contiguous row rather
-than over a short inner axis once per row; weight gradients are the
-products delta @ a.T.
+axis is the contiguous one, and each ends in a row of ones, so a layer's bias
+is the last column of its weight matrix and each layer's forward is one
+matrix product and its activation.  Layers are narrow and batches long
+(widths of 8 to 100 against 1000 rows), so every bias-gradient sum runs along
+a long contiguous row; weight gradients are the products delta @ a.T.
 
 One pass implementation, _Stack, runs k networks of one shape at once, over
 a leading stack axis, writing into buffers it allocates once for a batch
-length.  forward and value_and_grad are its k = 1 case; the training loop in
-``sharing`` runs a member's two networks as k = 2, with the bits of two
-separate passes.
+length; its pullback writes each delta over the activation it replaces, so
+it takes one pullback per forward.  forward and value_and_grad are its k = 1
+case; the training loop in ``sharing`` runs a member's two networks as
+k = 2, with the bits of two separate passes.
 
 forward evaluates in fixed blocks of 1024 rows, each thread reusing one set
 of block buffers, so its memory does not grow with the layer width times the
@@ -34,6 +35,7 @@ import contextvars
 import ctypes
 import functools
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -151,16 +153,13 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def _pull_activation(delta: np.ndarray, a: np.ndarray, activation: str, tmp: np.ndarray) -> None:
-    """Multiply delta in place by the activation's derivative, from its output
-    a, using tmp (of a's shape: bool for relu, float for tanh) as scratch."""
+def _derivative(a: np.ndarray, activation: str, out: np.ndarray) -> None:
+    """The activation's derivative from its output a, into out (bool for relu)."""
     if activation == "relu":
-        np.greater(a, 0.0, out=tmp)  # derivative at 0 is 0
-        delta *= tmp
+        np.greater(a, 0.0, out=out)  # derivative at 0 is 0
     elif activation == "tanh":
-        np.multiply(a, a, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        delta *= tmp
+        np.multiply(a, a, out=out)
+        np.subtract(1.0, out, out=out)
 
 
 class _Stack:
@@ -170,16 +169,21 @@ class _Stack:
     ``params`` holds the k parameter vectors back to back; each layer's
     weights and biases are (k, fan_out, fan_in) and (k, fan_out) views into
     it, so new values written into ``params`` are the stack's next weights.
-    Every activation, delta and gradient lives in a buffer allocated here
-    once.  A batch of n rows uses the first k * width * n entries of a
-    buffer, shaped (k, width, n): the layout of a fresh array, so every
-    product and sum gives the bits of k separate passes.  Values and
-    gradients are views into these buffers, which the next pass overwrites.
+    Each forward copies them into one (k, fan_out, fan_in + 1) matrix [W | b]
+    per layer, and every layer input ends in a row of ones: the batch sits in
+    a (2, rows) buffer over a ones row, each hidden activation in a
+    (k, width + 1, rows) buffer with its ones row last.  So a layer is one
+    matrix product into its activation buffer, then its activation in place.
 
-    Products with one inner term (fan-in 1 forward, fan-out 1 backward) are
-    a copy and an in-place broadcast multiply: one term per entry, so the
-    bits of the K=1 matrix product, and cheaper than the matrix product or
-    a single broadcast multiply into the buffer.
+    Every buffer is allocated here once.  A batch of n rows uses the head of
+    each, shaped (k, width + 1, n): the layout of a fresh array, so every
+    product and sum gives the bits of k separate passes.  ``pullback``
+    writes each delta over the activation it replaces, so it consumes its
+    forward.  Values and gradients are views into these buffers.
+
+    A backward product with one inner term (fan-out 1) is a copy and an
+    in-place broadcast multiply: the bits of the K=1 matrix product, and
+    cheaper than it or one broadcast multiply into the buffer.
     """
 
     def __init__(self, params: np.ndarray, k: int, widths: tuple[int, ...], activation: str,
@@ -187,90 +191,82 @@ class _Stack:
         size = _size(widths)
         self.widths = widths
         self.activation = activation
-        # per layer: weights, biases broadcast along the rows, transposed weights
-        self._layers = [
-            (w, b[:, :, None], w.transpose(0, 2, 1)) for w, b in _layers(params.reshape(k, size), widths)
-        ]
-        self._outs = [np.empty((k, fan_out, rows)) for fan_out in widths[1:]]
-        self._deltas: tuple[np.ndarray, ...] = ()
-        self._mask: np.ndarray | None = None
+        self._layers = _layers(params.reshape(k, size), widths)
+        self._folded = [np.empty((k, w.shape[1], w.shape[2] + 1)) for w, _ in self._layers]
+        self._inputs = [np.empty((2, rows)), *(np.empty((k, w + 1, rows)) for w in widths[1:-1])]
+        self._values = np.empty((k, 1, rows))
+        self._delta = self._scratch = None
         if grad:
             self.grad = np.empty(k * size)
             self._grads = _layers(self.grad.reshape(k, size), widths)
-            # two delta buffers, used in turn; the top delta and tanh's
-            # derivative go to whichever is free, relu's mask to a bool buffer
-            # (multiplying by a bool mask is the cheaper pass at width 64)
-            self._deltas = tuple(np.empty((k, max(widths[1:]), rows)) for _ in range(2))
-            if activation == "relu":
-                self._mask = np.empty((k, max(widths[1:]), rows), dtype=bool)
+            self._delta = np.empty((k, 1, rows))  # the top delta, beside the values
+            if activation != "linear" and len(widths) > 2:
+                # relu's mask as bools: multiplying by them is the cheaper pass at width 64
+                dtype = bool if activation == "relu" else np.float64
+                self._scratch = np.empty((k, max(widths[1:-1]), rows), dtype=dtype)
         self._views: dict[int, tuple] = {}
-        self._xs = np.empty(0)
+        self._last: tuple = ()
 
     def _sized(self, n: int) -> tuple:
         """Views of every buffer for a batch of n rows, built on first use."""
         views = self._views.get(n)
         if views is None:
 
-            def head(buf: np.ndarray, width: int) -> np.ndarray:
-                return buf.reshape(-1)[: buf.shape[0] * width * n].reshape(buf.shape[0], width, n)
+            def head(buf: np.ndarray | None, *shape: int) -> np.ndarray | None:
+                return None if buf is None else buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
-            outs = [head(buf, buf.shape[1]) for buf in self._outs]
-            deltas = []
-            if self._deltas:
-                last = len(self._layers) - 1
-                # the delta below layer i goes to buffer (last - i) % 2, its
-                # scratch to the other; the top delta to buffer 1, which the
-                # last layer reads before its scratch overwrites it
-                for i in range(last + 1):
-                    below = self._deltas[(last - i) % 2]
-                    scratch = self._deltas[1 - (last - i) % 2] if self._mask is None else self._mask
-                    deltas.append((head(below, self.widths[i]), head(scratch, self.widths[i])))
-                deltas.append(head(self._deltas[1], 1))
-            views = self._views[n] = (outs, deltas)
+            k = self._values.shape[0]
+            inputs = [head(buf, *buf.shape[:-1], n) for buf in self._inputs]
+            # each layer's output, above its ones row
+            outs = [a[:, :-1] for a in inputs[1:]] + [head(self._values, k, 1, n)]
+            scratch = [head(self._scratch, k, width, n) for width in self.widths[1:-1]]
+            views = self._views[n] = (inputs, outs, head(self._delta, k, 1, n), scratch)
         return views
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
         """The k networks' values on a 1-d batch of n <= ``rows`` rows, as a
-        (k, n) view; keeps every activation for ``pullback``."""
-        outs, _ = self._sized(xs.size)
-        self._xs = xs
-        a = xs[None, None, :]
+        (k, n) view; keeps every activation for one ``pullback``."""
+        self._last = inputs, outs, _, _ = self._sized(xs.size)
+        for (w, b), folded in zip(self._layers, self._folded):
+            folded[..., :-1] = w
+            folded[..., -1] = b
+        # a shorter batch's head views put the ones rows elsewhere
+        for a in inputs:
+            a[..., -1, :] = 1.0
+        inputs[0][0] = xs
         last = len(outs) - 1
-        for i, ((w, b, _), z) in enumerate(zip(self._layers, outs)):
-            if w.shape[2] == 1:
-                z[...] = a
-                z *= w
-            else:
-                np.matmul(w, a, out=z)
-            z += b
+        for i, (folded, a, z) in enumerate(zip(self._folded, inputs, outs)):
+            np.matmul(folded, a, out=z)
             if i < last:
                 _activate(z, self.activation)
-            a = z
-        return a[:, 0, :]
+        return outs[-1][:, 0, :]
 
     def pullback(self, upstream: Sequence[np.ndarray]) -> np.ndarray:
         """Gradient of sum_j upstream[j] @ values[j] for the last forward
-        batch, flat in ``params`` order: a view of the stack's buffer."""
-        xs = self._xs
-        outs, deltas = self._sized(xs.size)
-        inputs = [xs[None, None, :], *outs]
-        delta = deltas[-1]
+        batch, flat in ``params`` order: a view of the stack's buffer.
+        Overwrites the forward's activations, but not its values."""
+        inputs, outs, delta, scratch = self._last
+        self._last = ()
         for j, u in enumerate(upstream):
             delta[j, 0] = u
         for i in range(len(self._layers) - 1, -1, -1):
             grad_w, grad_b = self._grads[i]
-            np.matmul(delta, inputs[i].transpose(0, 2, 1), out=grad_w)
+            a = outs[i - 1] if i else inputs[0][:1]
+            np.matmul(delta, np.swapaxes(a, -1, -2), out=grad_w)
             np.add.reduce(delta, axis=2, out=grad_b)
             if i > 0:
-                w_t = self._layers[i][2]
-                below, tmp = deltas[i]
+                tmp = scratch[i - 1]
+                if tmp is not None:
+                    _derivative(a, self.activation, tmp)
+                w_t = self._layers[i][0].transpose(0, 2, 1)
                 if w_t.shape[2] == 1:
-                    below[...] = delta
-                    below *= w_t
+                    a[...] = delta
+                    a *= w_t
                 else:
-                    np.matmul(w_t, delta, out=below)
-                _pull_activation(below, inputs[i], self.activation, tmp)
-                delta = below
+                    np.matmul(w_t, delta, out=a)
+                if tmp is not None:
+                    a *= tmp
+                delta = a
         return self.grad
 
 
@@ -423,7 +419,8 @@ def value_and_grad(
     ``pullback(upstream)`` returns the gradient of
     sum_i upstream[i] * values[i] with respect to ``mlp.params``, as one flat
     vector in ``params`` order.  It uses the parameters of this call, even if
-    ``mlp.params`` is replaced in between.
+    ``mlp.params`` is replaced in between, and may be called any number of
+    times: each call after the first reruns the forward pass.
     """
     xs = _check_batch(xs)
     stack = _Stack(mlp.params, 1, mlp.widths, mlp.activation, xs.size)
@@ -433,6 +430,8 @@ def value_and_grad(
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != xs.shape:
             raise ValueError("upstream weights must match the input batch shape")
+        if not stack._last:  # consumed by the previous pullback; rewrites the same values
+            stack.forward(xs)
         return stack.pullback((upstream,)).copy()
 
     return values, pullback

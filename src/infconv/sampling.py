@@ -223,8 +223,7 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float) -> float:
     if not np.isfinite(p) or p < 1.0:
         raise ValueError("order p must satisfy p >= 1")
     if a.size == b.size:
-        gaps = np.abs(a.samples - b.samples)
-        mass = None
+        xa, xb, mass = a.samples, b.samples, None
     else:
         edges = np.unique(
             np.concatenate(
@@ -234,15 +233,24 @@ def wasserstein_p(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float) -> float:
         mid = 0.5 * (edges[1:] + edges[:-1])
         ia = np.clip(np.ceil(a.size * mid).astype(np.int64) - 1, 0, a.size - 1)
         ib = np.clip(np.ceil(b.size * mid).astype(np.int64) - 1, 0, b.size - 1)
-        gaps = np.abs(a.samples[ia] - b.samples[ib])
-        mass = np.diff(edges)
+        xa, xb, mass = a.samples[ia], b.samples[ib], np.diff(edges)
+    # a gap past the largest float, between samples of opposite signs, is
+    # taken between the halved samples, and the distance doubled at the end
+    with np.errstate(over="ignore"):
+        gaps = np.abs(xa - xb)
+    scale = 1.0
+    if np.isinf(gaps).any():
+        gaps, scale = np.abs(0.5 * xa - 0.5 * xb), 2.0
     # powers of the gaps relative to the largest one, so that gaps past
     # 1e154 do not overflow at p = 2 before the root brings them back
     top = float(gaps.max())
     if top == 0.0:
         return 0.0
     powers = (gaps / top) ** p
-    return top * float((powers.mean() if mass is None else powers @ mass) ** (1.0 / p))
+    distance = scale * (top * float((powers.mean() if mass is None else powers @ mass) ** (1.0 / p)))
+    if distance == np.inf:
+        raise ValueError("the Wasserstein distance exceeds the float64 range")
+    return distance
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +58,38 @@ def test_entropic_risk_approaches_negative_mean():
     # large beta: the certainty equivalent tends to E[-X]
     assert abs(entropic_risk(U, 1e3)) < 1e-3
     assert abs(entropic_risk(NB, 1e3) - 2.0 / 7.0) < 1e-3
+
+
+def _mpmath_entropic(dist, beta):
+    """beta * log E[exp(-X/beta)] by mpmath.quad, with 50 digits beyond the
+    2 * log10(beta) that the log of a mean next to 1 cancels."""
+    with mpmath.workdps(50 + 2 * max(0, int(np.log10(beta)))):
+        b, lo, hi = mpmath.mpf(beta), mpmath.mpf(dist.lo), mpmath.mpf(dist.hi)
+        if isinstance(dist, Uniform):
+            density = lambda x: 1 / (hi - lo)
+        else:
+            mean, sd = mpmath.mpf(dist.mean), mpmath.mpf(dist.sd)
+            mass = mpmath.ncdf((hi - mean) / sd) - mpmath.ncdf((lo - mean) / sd)
+            density = lambda x: mpmath.npdf(x, mean, sd) / mass
+        return float(b * mpmath.log(mpmath.quad(lambda x: mpmath.exp(-x / b) * density(x), [lo, hi])))
+
+
+@pytest.mark.parametrize("dist", [U, TruncNormal(0.0, 1.0, -2.0, 2.0), TruncNormal(0.5, 1.0, -1.0, 3.0)])
+@pytest.mark.parametrize("beta", [1e2, 1e8, 1e14, 1e300])
+def test_entropic_risk_keeps_its_digits_when_beta_dwarfs_the_support(dist, beta):
+    # on a symmetric law the value is about Var/(2 beta), far below the mean
+    # excess the log form subtracts; at beta = 1e2 that form is still used,
+    # and beta * log loses about 1e-16 * beta / |value| of the value
+    want = _mpmath_entropic(dist, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entropic_risk(dist, beta)
+    assert abs(got - want) <= (1e-10 if beta == 1e2 else 1e-14) * abs(want)
+
+
+def test_entropic_pair_with_a_huge_tolerance_pools_to_the_variance_term():
+    # Var(U) / (2 beta) for beta = 1e14 + 2, up to terms of order 1/beta**3
+    assert abs(analytic_infconv(Entropic(1e14), Entropic(2.0), U) - 1.0 / (6.0 * (1e14 + 2.0))) <= 1e-14 * 1.7e-15
 
 
 @given(

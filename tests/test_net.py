@@ -250,6 +250,52 @@ def test_backward_linear_in_upstream():
     assert np.allclose(pullback(u1) + pullback(u2), pullback(u1 + u2), atol=1e-12)
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_stack_values_survive_the_pullback_that_consumes_their_forward(activation):
+    widths = (1, 16, 16, 1)
+    rng = np.random.default_rng(61)
+    stack = net_module._Stack(rng.normal(size=2 * net_module._size(widths)), 2, widths, activation, 300)
+    for n in (300, 120):  # a shorter batch after a longer one
+        values = stack.forward(rng.uniform(-2.0, 2.0, size=n))
+        before = values.copy()
+        stack.pullback(rng.normal(size=(2, n)))
+        assert values.tobytes() == before.tobytes()
+
+
+def test_value_and_grad_pulls_back_any_number_of_times():
+    # a pullback overwrites the activations; the next one reruns the forward
+    net = make_net((1, 12, 12, 1), "tanh", seed=7)
+    rng = np.random.default_rng(62)
+    xs, u = rng.uniform(-2.0, 2.0, size=50), rng.normal(size=50)
+    values, pullback = value_and_grad(net, xs)
+    before = values.copy()
+    first = pullback(u)
+    net.params = net.params + 1.0  # replaced: the pullback keeps the call's parameters
+    pullback(rng.normal(size=50))
+    assert pullback(u).tobytes() == first.tobytes()
+    assert values.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_stack_allocates_no_delta_buffers_beside_its_activations(activation):
+    # the batch and each hidden activation over a ones row, the values, the
+    # top delta, the folded weights and the gradient; then relu's bool mask
+    # or tanh's float scratch, one hidden layer wide
+    k, widths, rows = 2, (1, 64, 32, 1), 1000
+    size = net_module._size(widths)
+    floats = 2 * rows + k * (65 + 33) * rows + 2 * k * rows + 2 * k * size
+    scratch = {"linear": 0, "relu": 1, "tanh": 8}[activation] * k * 64 * rows
+    tracemalloc.start()
+    try:
+        stack = net_module._Stack(np.zeros(k * size), k, widths, activation, rows)
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one more (k, 64, rows) float buffer would be 1 MB
+    assert 8 * floats + scratch <= used <= 8 * floats + scratch + 2**16
+    assert stack.grad.size == k * size
+
+
 def test_relu_derivative_at_kink_is_zero():
     # (W0, b0, W1, b1) = (1, 0, 1, 0)
     net = Mlp(widths=(1, 1, 1), activation="relu", params=np.array([1.0, 0.0, 1.0, 0.0]))

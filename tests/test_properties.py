@@ -504,6 +504,84 @@ def test_a_stack_of_two_networks_gives_the_bits_of_two_passes(hidden, activation
             assert grad[j * size : (j + 1) * size].tobytes() == pullback(upstream[j]).tobytes()
 
 
+def reference_stack_pass(params, k, widths, activation, xs, upstream):
+    """Values (k, n) and flat gradients of k networks, one at a time and
+    layer by layer: a matrix product, then + b, then the activation."""
+    activate, derivative = {
+        "linear": (lambda z: z, lambda a: 1.0),
+        "relu": (lambda z: np.maximum(z, 0.0), lambda a: a > 0.0),
+        "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    }[activation]
+    values, grads = [], []
+    for j, flat in enumerate(params.reshape(k, -1)):
+        layers = net_module._layers(flat, widths)
+        acts = [xs[None, :]]
+        for i, (w, b) in enumerate(layers):
+            z = w @ acts[-1] + b[:, None]
+            acts.append(activate(z) if i < len(layers) - 1 else z)
+        delta, grad = upstream[j][None, :], []
+        for i in range(len(layers) - 1, -1, -1):
+            grad[:0] = [(delta @ acts[i].T).ravel(), delta.sum(axis=1)]
+            if i:
+                delta = (layers[i][0].T @ delta) * derivative(acts[i])
+        values.append(acts[-1][0])
+        grads.append(np.concatenate(grad))
+    return np.array(values), np.concatenate(grads)
+
+
+BATCH_LENGTHS = (1, 7, 999, 1000, 1024, 1025)
+
+
+def stack_batches(stack, k, lengths, rng):
+    """Run a forward and a pullback per batch length through one stack and
+    yield (xs, upstream, values, grad) copies."""
+    for n in lengths:
+        xs = rng.uniform(-3.0, 3.0, size=n)
+        xs[rng.random(n) < 0.1] = 0.0
+        upstream = rng.normal(size=(k, n))
+        values = stack.forward(xs).copy()
+        yield xs, upstream, values, stack.pullback(upstream).copy()
+
+
+@given(
+    st.lists(st.integers(1, 24), max_size=3),
+    st.sampled_from(ACTIVATIONS),
+    st.sampled_from([1, 2]),
+    st.permutations(BATCH_LENGTHS),
+    st.integers(0, 2**16),
+)
+def test_stacked_pass_matches_a_layer_by_layer_reference(hidden, activation, k, lengths, seed):
+    # every batch length through one stack, in a random order, so shorter
+    # batches follow longer ones and the ones rows move
+    widths = (1, *hidden, 1)
+    rng = np.random.default_rng(seed)
+    params = rng.normal(size=k * net_module._size(widths))
+    stack = net_module._Stack(params, k, widths, activation, max(BATCH_LENGTHS))
+    for xs, upstream, values, grad in stack_batches(stack, k, lengths, rng):
+        want_values, want_grad = reference_stack_pass(params, k, widths, activation, xs, upstream)
+        scale = max(1.0, np.abs(want_values).max())
+        assert np.allclose(values, want_values, rtol=1e-12, atol=1e-12 * scale)
+        scale = max(1.0, np.abs(want_grad).max())
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("hidden", [(8, 8), (64, 64), (100, 100, 100)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_pass_gives_the_reference_bits_at_the_profile_widths(hidden, activation, k):
+    # the folded bias is the last term of each product, so at these widths
+    # it is added last, as in the reference; single-row batches take numpy's
+    # matrix-vector paths instead and may differ in a last bit
+    widths = (1, *hidden, 1)
+    rng = np.random.default_rng(len(hidden) * 10 + k)
+    params = rng.normal(size=k * net_module._size(widths))
+    stack = net_module._Stack(params, k, widths, activation, 1025)
+    for xs, upstream, values, grad in stack_batches(stack, k, (1025, 999, 1000, 7, 1024), rng):
+        want_values, want_grad = reference_stack_pass(params, k, widths, activation, xs, upstream)
+        assert values.tobytes() == want_values.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 @given(st.floats(1e-300, 1.0, exclude_max=True), st.sampled_from([1.5, 2.0, 3.0, np.inf]))
 @example(1e-300, 2.0)
 @example(1e-200, 2.0)

@@ -217,6 +217,41 @@ def test_wasserstein_takes_powers_without_overflow():
         assert wasserstein_p(b, b, 2.0) == 0.0
 
 
+def test_wasserstein_halves_gaps_past_the_largest_float():
+    # samples of opposite signs whose gap overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exceeds the float64 range"):
+            wasserstein_p(empirical(np.array([-1e308])), empirical(np.array([1e308])), 1.0)
+        a = empirical(np.array([-1e308, 0.0]))
+        assert abs(wasserstein_p(a, empirical(np.array([8e307, 0.0])), 1.0) - 9e307) <= 1e-15 * 9e307
+        # gaps of 1.8e308 and 1e308: the first overflows, the distances do not
+        b = empirical(np.array([8e307, 1e308]))
+        assert abs(wasserstein_p(a, b, 1.0) - 1.4e308) <= 1e-15 * 1.4e308
+        assert abs(wasserstein_p(a, b, 2.0) - np.sqrt(2.12) * 1e308) <= 1e-15 * 1e308
+        # unequal sizes: 1.8e308, 8e307, 1e308 and 1e308 - 1 on masses 1/3, 1/6, 1/6, 1/3
+        c = empirical(np.array([-1e308, 0.0, 1.0]))
+        assert abs(wasserstein_p(c, b, 1.0) - 6e307 - 3e307 - 1e308 / 3) <= 1e-15 * 1.3e308
+
+
+def _unscaled_wasserstein(a, b, p):
+    """wasserstein_p on equal sizes without the halving: the largest gap
+    times the root of the mean p-th power of the gaps relative to it."""
+    gaps = np.abs(a.samples - b.samples)
+    top = float(gaps.max())
+    return top * float(((gaps / top) ** p).mean() ** (1.0 / p)) if top else 0.0
+
+
+def test_wasserstein_values_are_unchanged_where_no_gap_overflows():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-300, 300)
+        a, b = (empirical(scale * rng.normal(size=n)) for _ in range(2))
+        p = float(rng.choice([1.0, 2.0, rng.uniform(1.0, 4.0)]))
+        assert wasserstein_p(a, b, p) == _unscaled_wasserstein(a, b, p)
+
+
 def test_wasserstein_properties():
     rng = np.random.default_rng(9)
     for _ in range(100):
