@@ -378,9 +378,8 @@ def sorted_risk(spec: RiskMeasure, xs: np.ndarray, grad: bool = False):
     linear, entropic = _compile(spec, n)
     value = 0.0 if linear is None else -(linear @ xs)
     if grad:
-        g = np.zeros(n)
-        if linear is not None:
-            g -= linear
+        # 0.0 - w keeps a +0.0 weight +0.0, as zeros minus it did
+        g = np.zeros(n) if linear is None else np.subtract(0.0, linear)
     for w, beta in entropic:
         # xs ascends, so xs[0] gives the largest exponent, 0; an exponent
         # that overflows to -inf is exact, as its term is 0

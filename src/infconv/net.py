@@ -206,6 +206,7 @@ class _Stack:
                 self._scratch = np.empty((k, max(widths[1:-1]), rows), dtype=dtype)
         self._views: dict[int, tuple] = {}
         self._last: tuple = ()
+        self._ones = 0  # the batch length whose ones rows the buffers hold
 
     def _sized(self, n: int) -> tuple:
         """Views of every buffer for a batch of n rows, built on first use."""
@@ -230,9 +231,12 @@ class _Stack:
         for (w, b), folded in zip(self._layers, self._folded):
             folded[..., :-1] = w
             folded[..., -1] = b
-        # a shorter batch's head views put the ones rows elsewhere
-        for a in inputs:
-            a[..., -1, :] = 1.0
+        # a batch of another length has its ones rows elsewhere; nothing else
+        # writes them, so one length keeps them across passes
+        if self._ones != xs.size:
+            for a in inputs:
+                a[..., -1, :] = 1.0
+            self._ones = xs.size
         inputs[0][0] = xs
         last = len(outs) - 1
         for i, (folded, a, z) in enumerate(zip(self._folded, inputs, outs)):

@@ -59,7 +59,7 @@ def adam_step(
             f"gradient shape {grads.shape} and parameter shape {params.shape} "
             f"do not match the state's {state.m.shape}"
         )
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise OptimizerError("non-finite gradient")
 
     t = state.t + 1
@@ -68,7 +68,7 @@ def adam_step(
     m = _BETA1 * state.m + (1.0 - _BETA1) * grads
     v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
     new_params = params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-    return new_params, replace(state, m=m, v=v, t=t)
+    return new_params, AdamState(m=m, v=v, t=t, lr=state.lr)
 
 
 @dataclass

@@ -12,7 +12,9 @@ its own order, and on segment s a candidate is its knot value plus its slope
 times the offset from the knot.  The risk kernel's compiled form
 (``measures._compile``) splits each measure into order weights, whose pooled
 term is linear in the slopes, and entropic leaves, whose log-mean-exp is a
-sum over segments of per-segment sums tabulated once per slope value.
+sum over segments of per-segment sums tabulated once per slope value.  The
+samples-by-segments overlap table and the per-segment gains exist only for
+pairs with a linear leaf.
 
 Without entropic leaves a candidate's value is a sum of one term per
 segment, so the solver picks the best slope segment by segment and
@@ -24,7 +26,9 @@ small arrays, and each entropic leaf's log-sum is split at the segment
 holding 0 into two one-sided sums, each kept while its digits repeat.  No solve
 gathers per candidate or builds a samples-by-candidates matrix, and every
 value is summed in one fixed order, so it has the same bits however
-candidates are grouped into calls.
+candidates are grouped into calls.  So the value a solve reports is the
+search's own minimum: the winner's score, bit for bit, without scoring it
+again.
 """
 
 from __future__ import annotations
@@ -77,18 +81,18 @@ class GridAllocation:
         slopes = np.array(self.slopes, dtype=np.float64)
         if knots.ndim != 1 or knots.size == 0:
             raise ValueError("knots must be a non-empty 1-d array")
-        if not np.all(np.isfinite(knots)):
+        if not np.isfinite(knots).all():
             raise ValueError("knots must be finite")
-        if np.any(np.diff(knots) <= 0.0):
+        if (knots[1:] <= knots[:-1]).any():
             raise ValueError("knots must be strictly increasing")
-        if not np.any(knots == 0.0):
+        if not (knots == 0.0).any():
             raise ValueError("knots must contain 0.0 exactly")
         expected = knots.size - 1 if knots.size > 1 else 1
         if slopes.shape != (expected,):
             raise ValueError(f"need {expected} slopes for {knots.size} knots")
-        if not np.all(np.isfinite(slopes)):
+        if not np.isfinite(slopes).all():
             raise ValueError("slopes must be finite")
-        if np.any(slopes < 0.0) or np.any(slopes > 1.0):
+        if (slopes < 0.0).any() or (slopes > 1.0).any():
             raise ValueError("slopes must lie in [0, 1]")
         knots.setflags(write=False)
         slopes.setflags(write=False)
@@ -163,8 +167,11 @@ def overlap_matrix(sorted_samples: np.ndarray, knots: np.ndarray) -> np.ndarray:
     b[-1] = np.inf
     lo = np.minimum(xs, 0.0)[:, None]
     hi = np.maximum(xs, 0.0)[:, None]
-    ov = np.clip(np.minimum(hi, b[None, :]) - np.maximum(lo, a[None, :]), 0.0, None)
-    return np.sign(xs)[:, None] * ov
+    ov = np.minimum(hi, b[None, :])
+    ov -= np.maximum(lo, a[None, :])
+    np.maximum(ov, 0.0, out=ov)
+    ov *= np.sign(xs)[:, None]
+    return ov
 
 
 def _log_segment_sums(d: np.ndarray, bounds: np.ndarray, slopes: np.ndarray, beta: float) -> np.ndarray:
@@ -232,7 +239,7 @@ class _Scorer:
         n = xs.size
         self.left = knots[:-1]
         # the segment holding 0, where the candidate's value is theta * x
-        self.zero = z = int(np.clip(np.searchsorted(knots, 0.0, side="right") - 1, 0, self.left.size - 1))
+        self.zero = z = min(max(int(knots.searchsorted(0.0, side="right")) - 1, 0), self.left.size - 1)
         bounds = np.searchsorted(xs, self.left)
         bounds[0] = 0
         bounds = np.append(bounds, n)
@@ -240,16 +247,19 @@ class _Scorer:
 
         lin1, ent1 = _compile(spec1, n)
         lin2, ent2 = _compile(spec2, n)
-        c = overlap_matrix(xs, knots)
         self.offset = 0.0
-        gain = np.zeros(self.left.size)
-        if lin1 is not None:
-            gain -= lin1 @ c
-        if lin2 is not None:
-            self.offset = -float(lin2 @ xs)
-            gain += lin2 @ c
-        # (segments, slopes) tables of theta * gain, theta * width, theta * left knot
-        self.gains = slope_values * gain[:, None]
+        # (segments, slopes) tables of theta * gain, theta * width, theta * left
+        # knot; without linear leaves every gain is 0 and there is no table
+        self.gains = None
+        if lin1 is not None or lin2 is not None:
+            c = overlap_matrix(xs, knots)
+            gain = np.zeros(self.left.size)
+            if lin1 is not None:
+                gain -= lin1 @ c
+            if lin2 is not None:
+                self.offset = -float(lin2 @ xs)
+                gain += lin2 @ c
+            self.gains = slope_values * gain[:, None]
         self.steps = slope_values * np.diff(knots)[:, None]
         self.lefts = slope_values * self.left[:, None]
         self.entropic1 = [
@@ -279,9 +289,15 @@ class _Scorer:
             row = table[s, choices[s]]
             return row[0] if row.size == 1 else row.reshape((-1,) + (1,) * (n_seg - 1 - s))
 
-        total = self.offset + functools.reduce(np.add, (pick(self.gains, s) for s in range(n_seg)))
-        if not (self.entropic1 or self.entropic2):
-            return np.broadcast_to(total, shape).reshape(-1)
+        if self.gains is not None:
+            total = self.offset + functools.reduce(np.add, (pick(self.gains, s) for s in range(n_seg)))
+            if not (self.entropic1 or self.entropic2):
+                return np.broadcast_to(total, shape).reshape(-1)
+            # a fresh array of the product's shape, the leaves are added into it
+            total = np.reshape(total, shape)
+        else:
+            # 0.0 + x is x, so the leaves alone give a total's bits
+            total = np.zeros(shape)
 
         def knot_values(segs: list) -> list:
             # values at the left knots of segs, overlap_matrix(knots[:-1], knots)
@@ -302,8 +318,6 @@ class _Scorer:
         if self._scratch[0].shape != shape:
             self._scratch = (np.empty(shape), np.empty(shape))
         top, low = self._scratch
-        # a fresh array of the product's shape, the leaves are added into it
-        total = np.reshape(total, shape)
         for agent, entropic in enumerate((self.entropic1, self.entropic2)):
             for leaf, (w, beta, log_sums) in enumerate(entropic):
                 tables = []
@@ -391,11 +405,11 @@ def brute_force_infconv(
     grid = np.linspace(0.0, 1.0, levels + 1)
     score = _Scorer(spec1, spec2, m, knots, grid)
     if score.entropic1 or score.entropic2:
-        best = _last_minimum_by_blocks(score)
+        value, best = _last_minimum_by_blocks(score)
     else:
-        best = _last_minimum_by_segments(score)
+        value, best = _last_minimum_by_segments(score)
     return OracleResult(
-        value=float(score([[d] for d in best])[0]),
+        value=float(value),
         slopes=grid[best],
         knots=knots,
         evaluations=total,
@@ -403,12 +417,14 @@ def brute_force_infconv(
     )
 
 
-def _last_minimum_by_blocks(score: _Scorer) -> list:
-    """Digits of the lexicographically last candidate with the smallest value,
-    scored block by block: every combination of the fewest trailing segments
-    that make _CHUNK candidates, under each leading prefix in turn.
+def _last_minimum_by_blocks(score: _Scorer) -> tuple:
+    """Smallest value and the digits of the lexicographically last candidate
+    that has it, scored block by block: every combination of the fewest
+    trailing segments that make _CHUNK candidates, under each leading prefix
+    in turn.  A candidate's bits do not depend on its block, so the value is
+    the one the winner scores alone.
     """
-    n_seg, size = score.gains.shape
+    n_seg, size = score.steps.shape
     tail = next((t for t in range(1, n_seg) if size**t >= _CHUNK), n_seg)
     digits = np.arange(size)
     best_value = np.inf
@@ -421,19 +437,21 @@ def _last_minimum_by_blocks(score: _Scorer) -> list:
         if values[k] <= best_value:
             best_value = values[k]
             best = list(head) + [int(d) for d in np.unravel_index(k, (size,) * tail)]
-    return best
+    return best_value, best
 
 
-def _last_minimum_by_segments(score: _Scorer) -> list:
-    """Digits of the lexicographically last candidate with the smallest value,
-    for a scorer without entropic leaves, without enumerating candidates.
+def _last_minimum_by_segments(score: _Scorer) -> tuple:
+    """Smallest value and the digits of the lexicographically last candidate
+    that has it, for a scorer without entropic leaves, without enumerating
+    candidates.
 
     A value is offset + (gains[0, d0] + ... + gains[n-1, d(n-1)]), the sum
     taken left to right, and rounded addition is monotone: the per-segment
     minima reach the smallest rounded value, and the smallest value
     reachable after fixing digits 0..s is the one completed by the later
     minima.  So the last minimizer takes, segment by segment, the largest
-    digit whose completion still reaches the smallest value.
+    digit whose completion still reaches the smallest value; ``completed``
+    sums in the scorer's order, so that value is the winner's score.
     """
     lows = score.gains.min(axis=1)
 
@@ -447,10 +465,10 @@ def _last_minimum_by_segments(score: _Scorer) -> list:
     partial = None
     for s, gains in enumerate(score.gains):
         trial = gains if partial is None else partial + gains
-        d = int(np.flatnonzero(completed(trial, s) == best_value)[-1])
+        d = int((completed(trial, s) == best_value).nonzero()[0][-1])
         best.append(d)
         partial = trial[d]
-    return best
+    return best_value, best
 
 
 def coordinate_descent_refine(

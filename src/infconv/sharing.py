@@ -10,6 +10,7 @@ two shares add up to the input exactly.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Generator
 from dataclasses import dataclass, replace
@@ -140,12 +141,13 @@ def batch_loss_and_cotangents(
     complement, complement of the second with the second) and returns the
     loss gradient with respect to each proposal's batch values.
     """
-    xs, first_values, second_values = (
-        np.asarray(v, dtype=np.float64) for v in (xs, first_values, second_values)
-    )
+    xs = np.asarray(xs, dtype=np.float64)
+    first_values = np.asarray(first_values, dtype=np.float64)
+    second_values = np.asarray(second_values, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0 or not xs.shape == first_values.shape == second_values.shape:
         raise ValueError("batch and share values must be non-empty 1-d vectors of one length")
-    if not all(np.all(np.isfinite(v)) for v in (xs, first_values, second_values)):
+    if not (np.isfinite(xs).all() and np.isfinite(first_values).all()
+            and np.isfinite(second_values).all()):
         raise ValueError("batch and share values must be finite")
     r1, g1 = _risk_with_grad(spec1, first_values)
     r2, g2 = _risk_with_grad(spec2, second_values)
@@ -159,7 +161,7 @@ def batch_loss_and_cotangents(
 
 def _risk_with_grad(spec: RiskMeasure, values: np.ndarray) -> tuple[float, np.ndarray]:
     """Risk of an unsorted vector and its gradient in input order."""
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
     value, grad_sorted = sorted_risk(spec, values[order], grad=True)
     grad = np.empty(values.size)
     grad[order] = grad_sorted
@@ -263,7 +265,7 @@ def _member_epochs(
                     values = pair.forward(xb)
                     # raises ValueError on non-finite network outputs
                     loss, cot1, cot2 = batch_loss_and_cotangents(spec1, spec2, xb, values[0], values[1])
-                    if not np.isfinite(loss):
+                    if not math.isfinite(loss):
                         raise ValueError("non-finite loss")
                     batch_losses.append(loss)
                     new_params, adam = adam_step(adam, params, pair.pullback((cot1, cot2)))

@@ -266,6 +266,8 @@ _PAIRS = {
     "lin": ("distortion(0.5*es(0.8)+0.5*es(0.7))", "es(0.9)"),
     "ent": ("entropic(2)", "entropic(3)"),
     "mix": ("mix(0.5*es(0.8)+0.5*entropic(1.0))", "entropic(0.5)"),
+    # linear, with a winner that splits the segments between the agents (at 6 x 4)
+    "cross": ("es(0.9)", "distortion(0.5*es(0.5)+0.5*es(0.99))"),
 }
 _PIN_KNOTS = np.array([-1.0, -0.6, -0.25, 0.0, 0.1, 0.5, 1.0])
 _PIN_CASES = {
@@ -417,6 +419,40 @@ def test_refine_and_objective_bits_are_pinned():
         slopes = rng.uniform(size=(3, _PIN_KNOTS.size - 1))
         values = [oracle_objective(*_pair(pair), m, _PIN_KNOTS, row).hex() for row in slopes]
         assert values == _OBJECTIVE_PINS[f"objective_{pair}"]
+
+
+@pytest.mark.parametrize("segments, levels", [(6, 4), (4, 8), (3, 2)])
+@pytest.mark.parametrize("pair, lo, hi", [
+    ("lin", -1.0, 1.0), ("cross", -1.0, 1.0), ("ent", -1.0, 1.0), ("mix", -1.0, 1.0),
+    ("mix", 0.1, 1.0), ("ent", -1.0, -0.1),
+])
+def test_brute_force_value_is_the_winners_own_score(pair, lo, hi, segments, levels):
+    # the value comes from the search, not from scoring the winner again; it
+    # must be the winner's score bit for bit, one-sided samples included
+    m = empirical(draw(Uniform(lo, hi), 2000, RngSeed(1, 0)))
+    got = brute_force_infconv(*_pair(pair), m, segments=segments, levels=levels)
+    assert got.value == oracle_objective(*_pair(pair), m, got.knots, got.slopes)
+
+
+def test_linear_tables_are_built_only_for_linear_leaves(monkeypatch):
+    def no_overlap(*args):
+        raise AssertionError("overlap_matrix called")
+
+    monkeypatch.setattr(infconv.oracle, "overlap_matrix", no_overlap)
+    m = empirical(draw(Uniform(-1.0, 1.0), 2000, RngSeed(1, 0)))
+    got = brute_force_infconv(*_pair("ent"), m, segments=6, levels=4)
+    assert _pinned(got) == _BRUTE_PINS["ent_6x4"]
+    # the draws test_refine_and_objective_bits_are_pinned makes up to its "ent" objectives
+    rng = np.random.default_rng(7)
+    rng.uniform(size=(1 + 3 + 1) * (_PIN_KNOTS.size - 1))
+    slopes = rng.uniform(size=(3, _PIN_KNOTS.size - 1))
+    values = [oracle_objective(*_pair("ent"), m, _PIN_KNOTS, row).hex() for row in slopes]
+    assert values == _OBJECTIVE_PINS["objective_ent"]
+    for pair in ("lin", "mix"):
+        with pytest.raises(AssertionError, match="overlap_matrix called"):
+            brute_force_infconv(*_pair(pair), m, segments=6, levels=4)
+        with pytest.raises(AssertionError, match="overlap_matrix called"):
+            oracle_objective(*_pair(pair), m, _PIN_KNOTS, np.full(_PIN_KNOTS.size - 1, 0.5))
 
 
 @pytest.mark.parametrize("segments, levels", [(14, 1), (7, 4)])
