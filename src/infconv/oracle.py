@@ -14,7 +14,14 @@ times the offset from the knot.  The risk kernel's compiled form
 term is linear in the slopes, and entropic leaves, whose log-mean-exp is a
 sum over segments of per-segment sums tabulated once per slope value.  The
 samples-by-segments overlap table and the per-segment gains exist only for
-pairs with a linear leaf.
+pairs with a linear leaf, the offsets and log-sums only for pairs with an
+entropic one.
+
+Every table is read off the sorted sample.  The knots are numpy's linear
+quantiles, taken at their indices; each overlap column is filled from the
+slices of samples inside and beyond its segment; each log-sum sums its
+segment's contiguous slice of one exp per slope value over all samples.
+They have the bits of the generic numpy passes they replace.
 
 Without entropic leaves a candidate's value is a sum of one term per
 segment, so the solver picks the best slope segment by segment and
@@ -139,16 +146,35 @@ def build_knots(samples: np.ndarray | EmpiricalMeasure, segments: int) -> np.nda
 
     The requested segment count is an upper bound; duplicate quantiles of a
     discrete sample collapse (a constant sample yields at most two knots).
+    The quantiles are ``np.quantile``'s linear ones, bit for bit, read off
+    the sorted sample: a measure's as it is, a raw array's sorted once.
     """
     if isinstance(samples, EmpiricalMeasure):
-        samples = samples.samples
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("need a non-empty 1-d sample")
+        xs = samples.samples
+    else:
+        xs = np.asarray(samples, dtype=np.float64)
+        if xs.ndim != 1 or xs.size == 0:
+            raise ValueError("need a non-empty 1-d sample")
+        xs = np.sort(xs, kind="stable")
     if segments < 1:
         raise ValueError("segments must be positive")
-    qs = np.quantile(samples, np.linspace(0.0, 1.0, segments + 1))
-    return np.unique(np.concatenate([qs, [0.0]]))
+    # np.linspace(0, 1, segments + 1) scaled to virtual indices; from the
+    # last index on, numpy interpolates the last sample with itself
+    last = xs.size - 1
+    virtual = last * (np.arange(segments + 1.0) * (1.0 / segments))
+    virtual[-1] = last
+    lower = virtual.astype(np.intp)
+    lower[virtual >= last] = -1
+    upper = np.where(lower < 0, -1, lower + 1)
+    gamma = virtual - lower
+    a, b = xs[lower], xs[upper]
+    diff = b - a
+    qs = a + diff * gamma
+    # numpy's lerp from the right end for the upper half of an interval
+    np.subtract(b, diff * (1.0 - gamma), out=qs, where=gamma >= 0.5)
+    if np.isnan(xs[-1]):  # sorted last; numpy makes every quantile NaN
+        qs.fill(np.nan)
+    return np.unique(np.append(qs, 0.0))
 
 
 def overlap_matrix(sorted_samples: np.ndarray, knots: np.ndarray) -> np.ndarray:
@@ -156,6 +182,9 @@ def overlap_matrix(sorted_samples: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
     Row i dotted with a slope vector gives the candidate value at sample i.
     The first and last segments absorb the linear extension beyond the grid.
+    Each column is filled from slices of the sorted sample: x minus the
+    segment's end nearer 0 where x lies inside it, its signed width where x
+    lies beyond it, and zero elsewhere.
     """
     knots = np.asarray(knots, dtype=np.float64)
     if knots.size < 2:
@@ -165,12 +194,22 @@ def overlap_matrix(sorted_samples: np.ndarray, knots: np.ndarray) -> np.ndarray:
     b = knots[1:].copy()
     a[0] = -np.inf
     b[-1] = np.inf
-    lo = np.minimum(xs, 0.0)[:, None]
-    hi = np.maximum(xs, 0.0)[:, None]
-    ov = np.minimum(hi, b[None, :])
-    ov -= np.maximum(lo, a[None, :])
-    np.maximum(ov, 0.0, out=ov)
-    ov *= np.sign(xs)[:, None]
+    # each segment's part above 0, (up, b], and below 0, [a, down)
+    up = np.maximum(a, 0.0)
+    down = np.minimum(b, 0.0)
+    ov = np.zeros((xs.size, a.size))
+    ov[: xs.searchsorted(0.0)] = -0.0  # a negative sample's zeros carry its sign
+    inside_up = xs.searchsorted(up, side="right")
+    beyond_up = xs.searchsorted(b)
+    beyond_down = xs.searchsorted(a, side="right")
+    inside_down = xs.searchsorted(down)
+    for s in range(a.size):
+        if up[s] < b[s]:
+            ov[inside_up[s] : beyond_up[s], s] = xs[inside_up[s] : beyond_up[s]] - up[s]
+            ov[beyond_up[s] :, s] = b[s] - up[s]
+        if a[s] < down[s]:
+            ov[: beyond_down[s], s] = a[s] - down[s]
+            ov[beyond_down[s] : inside_down[s], s] = xs[beyond_down[s] : inside_down[s]] - down[s]
     return ov
 
 
@@ -180,14 +219,23 @@ def _log_segment_sums(d: np.ndarray, bounds: np.ndarray, slopes: np.ndarray, bet
 
     Segment s holds d[bounds[s]:bounds[s+1]], ascending.  Shifting by its
     first (smallest) offset keeps every exponent at or below zero, so small
-    beta and negative offsets stay finite; an empty segment gives -inf.
+    beta and negative offsets stay finite; an empty segment gives -inf.  One
+    exp per slope covers every sample, and each segment sums its own
+    contiguous slice of the result.
     """
     out = np.full((bounds.size - 1, slopes.size), -np.inf)
-    for s in range(bounds.size - 1):
-        ds = d[bounds[s] : bounds[s + 1]]
-        if ds.size:
-            e = np.exp(np.outer(slopes, ds[0] - ds) / beta)
-            out[s] = np.log(e.sum(axis=1)) - slopes * (ds[0] / beta)
+    counts = np.diff(bounds)
+    held = np.flatnonzero(counts)
+    first = d[bounds[held]]
+    e = np.outer(slopes, np.repeat(first, counts[held]) - d)
+    e /= beta
+    np.exp(e, out=e)
+    sums = np.empty((held.size, slopes.size))
+    for row, s in zip(sums, held):
+        e[:, bounds[s] : bounds[s + 1]].sum(axis=1, out=row)
+    np.log(sums, out=sums)
+    sums -= slopes * (first / beta)[:, None]
+    out[held] = sums
     return out
 
 
@@ -240,10 +288,6 @@ class _Scorer:
         self.left = knots[:-1]
         # the segment holding 0, where the candidate's value is theta * x
         self.zero = z = min(max(int(knots.searchsorted(0.0, side="right")) - 1, 0), self.left.size - 1)
-        bounds = np.searchsorted(xs, self.left)
-        bounds[0] = 0
-        bounds = np.append(bounds, n)
-        d = xs - np.repeat(self.left, np.diff(bounds))
 
         lin1, ent1 = _compile(spec1, n)
         lin2, ent2 = _compile(spec2, n)
@@ -262,12 +306,17 @@ class _Scorer:
             self.gains = slope_values * gain[:, None]
         self.steps = slope_values * np.diff(knots)[:, None]
         self.lefts = slope_values * self.left[:, None]
-        self.entropic1 = [
-            (w, beta, _log_segment_sums(d, bounds, slope_values, beta)) for w, beta in ent1
-        ]
-        self.entropic2 = [
-            (w, beta, _log_segment_sums(d, bounds, 1.0 - slope_values, beta)) for w, beta in ent2
-        ]
+        self.entropic1: list = []
+        self.entropic2: list = []
+        self.sides: list = []
+        if not (ent1 or ent2):
+            return
+        bounds = np.searchsorted(xs, self.left)
+        bounds[0] = 0
+        bounds = np.append(bounds, n)
+        d = xs - np.repeat(self.left, np.diff(bounds))
+        self.entropic1 = [(w, beta, _log_segment_sums(d, bounds, slope_values, beta)) for w, beta in ent1]
+        self.entropic2 = [(w, beta, _log_segment_sums(d, bounds, 1.0 - slope_values, beta)) for w, beta in ent2]
         self.log_n = np.log(n)
         # (name, segments that hold a sample, digits its log-sums depend on)
         held = np.flatnonzero(np.diff(bounds)).tolist()
@@ -389,7 +438,7 @@ def brute_force_infconv(
     if levels < 1:
         raise ValueError("need at least one slope step")
     if knots is None:
-        knots = build_knots(m.samples, segments)
+        knots = build_knots(m, segments)
     if np.size(knots) < 2:
         raise ValueError("need at least two distinct knots")
     # checked by GridAllocation's rules; any valid slope vector will do
@@ -453,19 +502,20 @@ def _last_minimum_by_segments(score: _Scorer) -> tuple:
     digit whose completion still reaches the smallest value; ``completed``
     sums in the scorer's order, so that value is the winner's score.
     """
-    lows = score.gains.min(axis=1)
+    rows = score.gains.tolist()
+    lows = score.gains.min(axis=1).tolist()
 
-    def completed(partial, s: int):
+    def completed(partial: float, s: int) -> float:
         for low in lows[s + 1 :]:
-            partial = partial + low
+            partial += low
         return score.offset + partial
 
     best_value = completed(lows[0], 0)
     best: list = []
     partial = None
-    for s, gains in enumerate(score.gains):
-        trial = gains if partial is None else partial + gains
-        d = int((completed(trial, s) == best_value).nonzero()[0][-1])
+    for s, row in enumerate(rows):
+        trial = row if partial is None else [partial + gain for gain in row]
+        d = next(d for d in reversed(range(len(row))) if completed(trial[d], s) == best_value)
         best.append(d)
         partial = trial[d]
     return best_value, best

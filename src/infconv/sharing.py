@@ -493,32 +493,44 @@ def distortion_density_norm(spec: RiskMeasure, q: float) -> float:
 
     The density is the weighted sum of the leaves' piecewise linear densities
     (measures._density_pieces).  Between the merged breakpoints of all leaves
-    it is linear, so the norm is exact.  Raises for measures without such a
-    density, i.e. any spec with an entropic leaf.
+    it is linear, so the norm is exact: each piece's mean of f^q is taken in
+    closed form, without cancellation on nearly flat pieces.  Raises for
+    measures without such a density, i.e. any spec with an entropic leaf.
     """
     if q < 1.0:
         raise ValueError("q must be at least 1")
     pieces = [(w, _density_pieces(leaf)) for w, leaf in leaves(spec)]
     edges = np.unique(np.concatenate([t for _, (t, _, _) in pieces]))
+    starts, ends = edges[:-1], edges[1:]
     # density values at the left (a) and right (b) end of each segment
-    a = np.zeros(edges.size - 1)
-    b = np.zeros(edges.size - 1)
+    a = np.zeros(starts.size)
+    b = np.zeros(starts.size)
     for w, (t, left, right) in pieces:
-        j = np.searchsorted(t, edges[:-1], side="right") - 1  # the leaf's piece holding the segment
-        width = t[j + 1] - t[j]
-        a += w * (left[j] + (right[j] - left[j]) * ((edges[:-1] - t[j]) / width))
-        b += w * (right[j] + (left[j] - right[j]) * ((t[j + 1] - edges[1:]) / width))
+        j = np.searchsorted(t, starts, side="right") - 1  # the leaf's piece holding the segment
+        t0, t1, f0, f1 = t[j], t[j + 1], left[j], right[j]
+        width = t1 - t0
+        a += w * (f0 + (f1 - f0) * ((starts - t0) / width))
+        b += w * (f1 + (f0 - f1) * ((t1 - ends) / width))
     peak = float(max(a.max(), b.max()))
     if np.isinf(q):
         return peak
     # powers of the density relative to its peak, so that a tall, narrow
     # density (ES at a tiny level) does not overflow: norm = peak * ||f / peak||
-    a, b = a / peak, b / peak
-    flat = np.isclose(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seg = (b ** (q + 1.0) - a ** (q + 1.0)) / ((q + 1.0) * (b - a))
-    seg = np.where(flat, a**q, seg)
-    return peak * float((seg @ np.diff(edges)) ** (1.0 / q))
+    a /= peak
+    b /= peak
+    seg = a**q  # a flat piece's mean of f^q
+    sloped = np.flatnonzero(a != b)
+    if sloped.size:
+        # the mean of f^q between lo = hi (1 + s) and hi,
+        # (hi^(q+1) - lo^(q+1)) / ((q+1)(hi - lo)), written as
+        # hi^q expm1((q+1) log1p(s)) / ((q+1) s), which does not cancel as
+        # s -> 0; a zero end has s = -1 and the mean hi^q / (q+1)
+        lo = np.minimum(a[sloped], b[sloped])
+        hi = np.maximum(a[sloped], b[sloped])
+        s = (lo - hi) / hi
+        with np.errstate(divide="ignore"):
+            seg[sloped] = hi**q * (np.expm1((q + 1.0) * np.log1p(s)) / ((q + 1.0) * s))
+    return peak * float((seg @ (ends - starts)) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

@@ -36,3 +36,41 @@ def spectral_reference(xs, density):
                        points=inside if inside.size else None, epsabs=1e-14, epsrel=1e-13, limit=200)
         masses.append(mass)
     return float(-(xs @ np.array(masses)))
+
+
+def knots_reference(samples, segments):
+    """The oracle's knot grid from numpy's own quantiles: the linear sample
+    quantiles at 0, 1/segments, ..., 1 with 0.0 inserted, duplicates merged."""
+    qs = np.quantile(np.asarray(samples, dtype=np.float64), np.linspace(0.0, 1.0, segments + 1))
+    return np.unique(np.concatenate([qs, [0.0]]))
+
+
+def overlap_reference(sorted_samples, knots):
+    """Signed overlap of [0, x_i] with each slope segment by broadcasting:
+    the segment clipped to the interval between 0 and x, times the sign of x;
+    the first and last segments reach to -inf and +inf."""
+    xs = np.asarray(sorted_samples, dtype=np.float64)
+    a = np.array(knots[:-1], dtype=np.float64)
+    b = np.array(knots[1:], dtype=np.float64)
+    a[0] = -np.inf
+    b[-1] = np.inf
+    lo = np.minimum(xs, 0.0)[:, None]
+    hi = np.maximum(xs, 0.0)[:, None]
+    ov = np.minimum(hi, b[None, :])
+    ov -= np.maximum(lo, a[None, :])
+    np.maximum(ov, 0.0, out=ov)
+    ov *= np.sign(xs)[:, None]
+    return ov
+
+
+def log_segment_sums_reference(d, bounds, slopes, beta):
+    """log sum_i exp(-slope * d_i / beta) over each segment's samples
+    d[bounds[s]:bounds[s+1]], one segment at a time, shifted by the
+    segment's first offset; -inf for an empty segment."""
+    out = np.full((bounds.size - 1, slopes.size), -np.inf)
+    for s in range(bounds.size - 1):
+        ds = d[bounds[s] : bounds[s + 1]]
+        if ds.size:
+            e = np.exp(np.outer(slopes, ds[0] - ds) / beta)
+            out[s] = np.log(e.sum(axis=1)) - slopes * (ds[0] / beta)
+    return out

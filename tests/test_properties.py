@@ -56,7 +56,14 @@ from infconv.cli import parse_experiment, render_experiment
 from infconv import oracle
 from infconv.measures import _compile, _order_weights, leaves, sorted_risk
 from infconv.oracle import GridAllocation, _Scorer, brute_force_infconv, build_knots, oracle_objective
-from references import entropic_reference, es_reference, spectral_reference
+from references import (
+    entropic_reference,
+    es_reference,
+    knots_reference,
+    log_segment_sums_reference,
+    overlap_reference,
+    spectral_reference,
+)
 
 MAX_DEPTH = 4
 
@@ -281,6 +288,63 @@ def test_entropic_pairs_scored_by_sides_keep_the_scorers_guarantees(data):
         spec2, np.sort(candidate.complement(m.samples))
     )
     assert _close(got.value, want, 1e-12)
+
+
+@st.composite
+def table_inputs(draw):
+    """A sorted sample from oracle_samples (one-sided, repeated values) and
+    knots from it, explicit ones past its range or between its values, or
+    another sample's quantile knots."""
+    m = empirical(draw(oracle_samples()))
+    if draw(st.booleans()):
+        knots = draw(oracle_knots(m))
+    else:
+        knots = build_knots(draw(oracle_samples()), draw(st.integers(1, 6)))
+        assume(knots.size >= 2)
+    return m.samples, knots
+
+
+@given(oracle_samples(), st.integers(1, 12))
+@example(np.array([-0.0, 0.0, 1.0]), 5)
+@example(np.array([2.5] * 17), 6)
+def test_knots_read_off_the_sorted_sample_are_numpys_quantiles(xs, segments):
+    want = knots_reference(xs, segments)
+    got = (build_knots(xs, segments), build_knots(empirical(xs), segments))
+    signs = np.signbit(xs[xs == 0.0])
+    if signs.any() and not signs.all():
+        # 0.0 and -0.0 compare equal, and numpy's partition may leave either
+        # where the sort puts the other: a zero knot's sign is not compared
+        got, want = tuple(k + 0.0 for k in got), want + 0.0
+    assert got[0].tobytes() == want.tobytes()
+    assert got[1].tobytes() == want.tobytes()
+
+
+@given(table_inputs())
+@example((np.array([0.0]), np.array([0.0, 1.0, 2.0])))
+def test_overlap_filled_by_slices_is_the_broadcast_overlap(inputs):
+    xs, knots = inputs
+    got = oracle.overlap_matrix(xs, knots)
+    want = overlap_reference(xs, knots)
+    assert got.tobytes() == want.tobytes()  # equal values and signs of zero
+    # order weights' products with it, as _Scorer takes them, keep their bits
+    weights = np.random.default_rng(xs.size).uniform(size=xs.size)
+    assert (weights @ got).tobytes() == (weights @ want).tobytes()
+
+
+@given(table_inputs(), st.integers(1, 8), st.floats(0.01, 50.0))
+@example((np.array([0.0]), np.array([0.0, 1.0, 2.0])), 2, 1.0)
+def test_log_segment_sums_over_slices_equal_the_per_segment_loop(inputs, levels, beta):
+    # the offsets and segment bounds _Scorer passes: every sample below the
+    # second knot counts in the first segment
+    xs, knots = inputs
+    bounds = np.append(np.searchsorted(xs, knots[:-1]), xs.size)
+    bounds[0] = 0
+    d = xs - np.repeat(knots[:-1], np.diff(bounds))
+    grid = np.linspace(0.0, 1.0, levels + 1)
+    for slopes in (grid, 1.0 - grid):
+        got = oracle._log_segment_sums(d, bounds, slopes, beta)
+        want = log_segment_sums_reference(d, bounds, slopes, beta)
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

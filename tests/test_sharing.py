@@ -4,10 +4,10 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +20,7 @@ from infconv import (
     ExpectedShortfall,
     ProportionalAllocation,
     RngSeed,
+    Spectral,
     TrainConfig,
     TrainingError,
     Uniform,
@@ -536,16 +537,68 @@ def _hooked_epochs(monkeypatch, before_epoch):
     monkeypatch.setattr(sharing, "_member_epochs", hooked)
 
 
+class _EpochClock:
+    """Virtual time for hooked epochs, so that the order in which epochs end
+    does not depend on how busy the host is.
+
+    An epoch of length L that starts at virtual time t ends at t + L.  A
+    worker's run(L) returns once every worker still training waits in its
+    hook and its epoch is the earliest of theirs to end; epochs that end
+    together return together.  A worker whose training is done leaves, so
+    the others do not wait for it.
+    """
+
+    def __init__(self, monkeypatch):
+        self._cond = threading.Condition()
+        self._now = 0
+        self._workers = 0
+        self._ends = {}  # thread waiting in its hook -> its epoch's end
+        real = net._in_threads
+
+        def counted(work, workers, name):
+            if name != "infconv-member":  # the members' pool, not a forward pass
+                return real(work, workers, name)
+            self._workers = workers
+
+            def work_then_leave(j):
+                try:
+                    work(j)
+                finally:
+                    with self._cond:
+                        self._workers -= 1
+                        self._advance()
+
+            return real(work_then_leave, workers, name)
+
+        monkeypatch.setattr(net, "_in_threads", counted)
+
+    def run(self, length):
+        me = threading.current_thread()
+        with self._cond:
+            self._ends[me] = self._now + length
+            self._advance()
+            if not self._cond.wait_for(lambda: me not in self._ends, timeout=60.0):
+                raise AssertionError("a hooked epoch never became the earliest to end")
+
+    def _advance(self):
+        if self._ends and len(self._ends) == self._workers:
+            self._now = min(self._ends.values())
+            for thread in [thread for thread, end in self._ends.items() if end == self._now]:
+                del self._ends[thread]
+            self._cond.notify_all()
+
+
 def _epochs_by_thread(monkeypatch, cfg):
     """Train cfg's ensemble and return each epoch's (member, thread), in the
     order the epochs started."""
     trained = []
     lock = threading.Lock()
+    clock = _EpochClock(monkeypatch)
 
     def recording(member):
         with lock:
             trained.append((member, threading.current_thread()))
-        time.sleep(0.2)  # epochs of about one length, so no worker falls an epoch behind
+        clock.run(1)  # epochs of one length end together
 
     _hooked_epochs(monkeypatch, recording)
     train_ensemble(tiny_samples(cfg), Entropic(2.0), Entropic(3.0), cfg)
@@ -553,7 +606,7 @@ def _epochs_by_thread(monkeypatch, cfg):
     return trained
 
 
-# one batch per epoch, so that an epoch is mostly the hook's sleep
+# one batch per epoch, so that an epoch takes little real time
 SHORT_EPOCHS = replace(WIDE, n_samples=1000, epochs=4)
 
 
@@ -585,17 +638,18 @@ def test_members_stay_within_one_epoch_of_each_other(monkeypatch):
     # workers' epoch ends change order; a worker that then took the member
     # that had waited longest would start member 1's third epoch while
     # member 2 had started one
-    lengths = {(0, 0): 1.3, (1, 1): 0.5}
+    lengths = {(0, 0): 13, (1, 1): 5}
     started = [0, 0, 0]
     spreads = []
     lock = threading.Lock()
+    clock = _EpochClock(monkeypatch)
 
     def timed(member):
         with lock:
-            length = lengths.get((member, started[member]), 1.0)
+            length = lengths.get((member, started[member]), 10)
             started[member] += 1
             spreads.append(max(started) - min(started))
-        time.sleep(0.1 * length)
+        clock.run(length)
 
     _workers(monkeypatch, cpus=2)
     _hooked_epochs(monkeypatch, timed)
@@ -865,6 +919,20 @@ def test_density_norm_mixes_spectral_and_shortfall_leaves():
     with pytest.raises(ValueError, match="Entropic") as info:
         distortion_density_norm(Combination(((0.5, mixed), (0.5, Entropic(1.0)))), 2.0)
     assert len(str(info.value)) < 80
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+def test_density_norm_is_exact_on_nearly_flat_and_zero_ended_pieces(q):
+    # a density falling linearly from 1 + h to 1 - h, whose piece formula
+    # cancels as h shrinks, and one falling to 0, against 50-digit quadrature
+    densities = [(1.0 + m * 10.0**-e, 1.0 - m * 10.0**-e) for e in range(1, 13) for m in (1.0, 3.0)]
+    densities.append((2.0, 0.0))
+    with mpmath.workdps(50):
+        for top, bottom in densities:
+            a, b = mpmath.mpf(top), mpmath.mpf(bottom)
+            want = mpmath.quad(lambda u: (a + (b - a) * u) ** q, [0, 1]) ** (1 / mpmath.mpf(q))
+            got = distortion_density_norm(Spectral(np.array([0.0, 1.0]), np.array([top, bottom])), q)
+            assert abs(got - want) <= 1e-14 * want, (top, bottom)
 
 
 def test_stability_check_equal_samples():
