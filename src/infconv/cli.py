@@ -341,10 +341,13 @@ def _training_sample(spec: ExperimentSpec) -> np.ndarray:
 
 def _solve_oracle(spec: ExperimentSpec, samples: np.ndarray):
     """Brute-force solve on samples at the configured grid resolution."""
-    return brute_force_infconv(
-        spec.rho1, spec.rho2, empirical(samples),
-        segments=spec.oracle_segments, levels=spec.oracle_levels,
-    )
+    try:
+        return brute_force_infconv(
+            spec.rho1, spec.rho2, empirical(samples),
+            segments=spec.oracle_segments, levels=spec.oracle_levels,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"grid oracle failed: {exc}") from exc
 
 
 def _member_firsts(members, xs: np.ndarray) -> np.ndarray:

@@ -553,6 +553,20 @@ def test_oracle_without_settings_exits_2(tmp_path, capsys):
     assert "oracle settings missing" in capsys.readouterr().err
 
 
+def test_oracle_refusing_a_beta_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        MINIMAL.replace("rho1 = entropic(beta=2.0)", "rho1 = entropic(beta=1e14)")
+        + "n_samples = 200\nbatch_size = 50\noracle_segments = 4\noracle_levels = 3\n",
+        encoding="utf-8",
+    )
+    assert main(["oracle", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: grid oracle failed: entropic beta too large")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 # -------------------------------------------------------------------- compare
 
 

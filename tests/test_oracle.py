@@ -20,6 +20,7 @@ from infconv import (
     empirical,
     evaluate,
     parse_risk_spec,
+    sorted_risk,
 )
 from infconv.oracle import (
     BudgetError,
@@ -453,6 +454,67 @@ def test_linear_tables_are_built_only_for_linear_leaves(monkeypatch):
             brute_force_infconv(*_pair(pair), m, segments=6, levels=4)
         with pytest.raises(AssertionError, match="overlap_matrix called"):
             oracle_objective(*_pair(pair), m, _PIN_KNOTS, np.full(_PIN_KNOTS.size - 1, 0.5))
+
+
+def _jittered_uniform(n, lo, hi, seed):
+    """One uniform draw in each of n equal strata of [lo, hi], ascending."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
+    return lo + (hi - lo) * (np.arange(n) + gen.uniform(size=n)) / n
+
+
+# (low end of the sample, levels): side tables built, and float.hex of
+# (value, slopes) as scoring every block's sides anew gave them
+_RUN_CASES = {
+    # 0 in segment 3 of 7: each side's digits fit in a block, so each of the
+    # two leaves builds each side once (per-block rebuilds made 12 and 1,460)
+    (-1.0, 4): (4, "0x1.1180b71447080p-5", [0.5, 0.25, 0.5, 0.0, 0.5, 0.25, 0.5]),
+    (-1.0, 8): (4, "0x1.10eeed8802980p-5", [0.375, 0.375, 0.375, 0.0, 0.5, 0.375, 0.375]),
+    # 0 in segment 2 of 7: at 8 levels the upper side's digits 2..6 outnumber a
+    # block's four, so it is built for each of the 729 blocks (it made 2,916)
+    (-0.35, 8): (1460, "-0x1.3d4040b0a14d0p-2", [0.375, 0.375, 0.5, 0.375, 0.375, 0.375, 0.5]),
+}
+
+
+@pytest.mark.parametrize("lo, levels", sorted(_RUN_CASES))
+def test_entropic_side_tables_are_built_once_per_run_of_blocks(monkeypatch, lo, levels):
+    sizes = []
+    log_sum_exp = infconv.oracle._log_sum_exp
+
+    def counted(terms, shape):
+        sizes.append(int(np.prod(shape)))
+        return log_sum_exp(terms, shape)
+
+    monkeypatch.setattr(infconv.oracle, "_log_sum_exp", counted)
+    m = empirical(_jittered_uniform(2000, lo, 1.0, 21))
+    got = brute_force_infconv(Entropic(2.0), Entropic(3.0), m, segments=6, levels=levels)
+    calls, value, slopes = _RUN_CASES[lo, levels]
+    assert len(sizes) == calls
+    assert (got.value.hex(), got.slopes.tolist()) == (value, slopes)
+    # no table is larger than a block: the fewest trailing segments of _CHUNK candidates
+    block = next((levels + 1) ** t for t in itertools.count(1) if (levels + 1) ** t >= infconv.oracle._CHUNK)
+    assert max(sizes) <= block
+
+
+def test_entropic_betas_past_the_log_sums_precision_are_refused():
+    # at beta = 1e14 the log-sums returned -0.1291, below -mean(x) = -0.0793,
+    # which bounds every pooled entropic risk from below
+    m = empirical(np.random.default_rng(0).uniform(-1.0, 1.0, 200))
+    with pytest.raises(ValueError, match="entropic beta too large"):
+        brute_force_infconv(Entropic(1e14), Entropic(2.0), m, segments=4, levels=3)
+    knots = build_knots(m, 4)
+    with pytest.raises(ValueError, match="entropic beta too large"):
+        oracle_objective(Entropic(2.0), Entropic(1e7), m, knots, np.full(knots.size - 1, 0.5))
+    # a beta the log-sums carry still gives the kernel's minimum over the grid
+    spec1, spec2 = Entropic(1e3), Entropic(2.0)
+    got = brute_force_infconv(spec1, spec2, m, segments=4, levels=3)
+    naive = []
+    for slopes in itertools.product(np.linspace(0.0, 1.0, 4), repeat=got.knots.size - 1):
+        candidate = GridAllocation(knots=got.knots, slopes=np.array(slopes))
+        naive.append(
+            sorted_risk(spec1, np.sort(candidate(m.samples)))
+            + sorted_risk(spec2, np.sort(candidate.complement(m.samples)))
+        )
+    assert abs(got.value - min(naive)) <= 1e-11
 
 
 @pytest.mark.parametrize("segments, levels", [(14, 1), (7, 4)])

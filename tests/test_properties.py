@@ -275,8 +275,8 @@ def test_entropic_pairs_scored_by_sides_keep_the_scorers_guarantees(data):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, slopes = _last_minimum_of_product(spec1, spec2, m, knots, levels)
-        # blocks of a few candidates each, so each side's cached table is
-        # reused across blocks, and refreshed when its digits change
+        # blocks of a few candidates each, so a side's table serves one
+        # block, a run of several or every block
         with mock.patch.object(oracle, "_CHUNK", data.draw(st.integers(1, 30))):
             got = brute_force_infconv(spec1, spec2, m, levels=levels, knots=knots)
         replay = oracle_objective(spec1, spec2, m, knots, got.slopes)
